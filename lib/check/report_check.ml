@@ -49,16 +49,12 @@ exception Bad of failure
 
 let bad fmt = Printf.ksprintf (fun message -> raise (Bad { message })) fmt
 
-let check_version ~path doc =
+let schema = "phi-bench-report/8"
+
+let check_schema ~path doc =
   match J.member "schema" doc with
-  | Some (J.String "phi-bench-report/1") -> 1
-  | Some (J.String "phi-bench-report/2") -> 2
-  | Some (J.String "phi-bench-report/3") -> 3
-  | Some (J.String "phi-bench-report/4") -> 4
-  | Some (J.String "phi-bench-report/5") -> 5
-  | Some (J.String "phi-bench-report/6") -> 6
-  | Some (J.String "phi-bench-report/7") -> 7
-  | Some _ | None -> bad "%s: missing or unknown \"schema\" field" path
+  | Some (J.String s) when String.equal s schema -> ()
+  | Some _ | None -> bad "%s: missing or unknown \"schema\" field (expected %S)" path schema
 
 let check_structure ~path doc =
   List.iter
@@ -71,68 +67,63 @@ let check_structure ~path doc =
   | Some (J.List (_ :: _)) -> ()
   | _ -> bad "%s: \"experiments\" must be a non-empty array" path
 
-(* The "micro" section (bench/micro.exe --json) is optional, but when
-   present it must carry both metric families with positive rates — a
-   zero or missing rate means the harness mis-ran. *)
-let check_micro ~path doc =
-  match J.member "micro" doc with
-  | None -> ()
-  | Some micro ->
-    let positive_rate section field =
-      match J.member field section with
-      | Some (J.Float v) when v > 0. -> ()
-      | Some (J.Int v) when v > 0 -> ()
-      | Some _ -> bad "%s: micro field \"%s\" must be a positive number" path field
-      | None -> bad "%s: micro section missing \"%s\"" path field
-    in
-    (match J.member "events" micro with
-    | Some (J.Obj _ as events) ->
-      List.iter (positive_rate events)
-        [
-          "legacy_events_per_s";
-          "new_events_per_s";
-          "port_events_per_s";
-          "speedup_vs_legacy";
-          "port_speedup_vs_legacy";
-        ]
-    | Some _ | None -> bad "%s: micro section missing \"events\" object" path);
-    (match J.member "packets" micro with
-    | Some (J.Obj _ as packets) ->
-      List.iter (positive_rate packets)
-        [ "link_loop_packets_per_s"; "dumbbell_packets_per_s" ]
-    | Some _ | None -> bad "%s: micro section missing \"packets\" object" path)
+(* A run narrowed by --only or --cc records the flag, and may then omit
+   sections (and, for --cc, cover only part of the registry). *)
+let narrowed_by flag doc = Option.is_some (J.member flag doc)
 
-(* The "alloc" section is what distinguishes a /2 report; its per-packet
-   figure is enforced against the committed budget so an allocation
-   regression on the packet path fails CI, not just a benchmark graph. *)
-let check_alloc ~path ~version doc =
-  match J.member "alloc" doc with
-  | None -> if version >= 2 then bad "%s: phi-bench-report/2 requires an \"alloc\" section" path
-  | Some alloc ->
-    let number field =
-      match J.member field alloc with
-      | Some (J.Float v) -> v
-      | Some (J.Int v) -> float_of_int v
-      | Some _ -> bad "%s: alloc field \"%s\" must be a number" path field
-      | None -> bad "%s: alloc section missing \"%s\"" path field
-    in
-    let per_packet = number "minor_words_per_packet" in
-    let per_event = number "minor_words_per_event" in
-    let high_water = number "pool_high_water" in
-    if per_packet < 0. || per_event < 0. then bad "%s: alloc counters must be non-negative" path;
-    if high_water < 1. then bad "%s: alloc \"pool_high_water\" must be >= 1" path;
-    if per_packet > max_minor_words_per_packet then
-      bad "%s: allocation regression: %.4f minor words/packet exceeds the budget of %g" path
-        per_packet max_minor_words_per_packet
+(* The "micro" section must carry both metric families with positive
+   rates — a zero or missing rate means the harness mis-ran. *)
+let check_micro ~path _doc micro =
+  let positive_rate section field =
+    match J.member field section with
+    | Some (J.Float v) when v > 0. -> ()
+    | Some (J.Int v) when v > 0 -> ()
+    | Some _ -> bad "%s: micro field \"%s\" must be a positive number" path field
+    | None -> bad "%s: micro section missing \"%s\"" path field
+  in
+  (match J.member "events" micro with
+  | Some (J.Obj _ as events) ->
+    List.iter (positive_rate events)
+      [
+        "legacy_events_per_s";
+        "new_events_per_s";
+        "port_events_per_s";
+        "speedup_vs_legacy";
+        "port_speedup_vs_legacy";
+      ]
+  | Some _ | None -> bad "%s: micro section missing \"events\" object" path);
+  match J.member "packets" micro with
+  | Some (J.Obj _ as packets) ->
+    List.iter (positive_rate packets)
+      [ "link_loop_packets_per_s"; "dumbbell_packets_per_s" ]
+  | Some _ | None -> bad "%s: micro section missing \"packets\" object" path
 
-(* The "cc_matrix" section is what distinguishes a /3 report: the
-   cross-algorithm matrix must cover every algorithm registered in the
-   unified control plane, so a registry addition that never reaches the
-   harness fails CI here. *)
-let check_cc_matrix ~path ~version doc =
-  match J.member "cc_matrix" doc with
-  | None -> if version >= 3 then bad "%s: phi-bench-report/3 requires a \"cc_matrix\" section" path
-  | Some (J.List (_ :: _ as cells)) ->
+(* The "alloc" section's per-packet figure is enforced against the
+   committed budget so an allocation regression on the packet path fails
+   CI, not just a benchmark graph. *)
+let check_alloc ~path _doc alloc =
+  let number field =
+    match J.member field alloc with
+    | Some (J.Float v) -> v
+    | Some (J.Int v) -> float_of_int v
+    | Some _ -> bad "%s: alloc field \"%s\" must be a number" path field
+    | None -> bad "%s: alloc section missing \"%s\"" path field
+  in
+  let per_packet = number "minor_words_per_packet" in
+  let per_event = number "minor_words_per_event" in
+  let high_water = number "pool_high_water" in
+  if per_packet < 0. || per_event < 0. then bad "%s: alloc counters must be non-negative" path;
+  if high_water < 1. then bad "%s: alloc \"pool_high_water\" must be >= 1" path;
+  if per_packet > max_minor_words_per_packet then
+    bad "%s: allocation regression: %.4f minor words/packet exceeds the budget of %g" path
+      per_packet max_minor_words_per_packet
+
+(* The cross-algorithm matrix must cover every algorithm registered in
+   the unified control plane, so a registry addition that never reaches
+   the harness fails CI here. *)
+let check_cc_matrix ~path doc cc_matrix =
+  match cc_matrix with
+  | J.List (_ :: _ as cells) ->
     let algo_of = function
       | J.Obj _ as cell -> (
         (match J.member "workload" cell with
@@ -147,24 +138,21 @@ let check_cc_matrix ~path ~version doc =
       | _ -> bad "%s: cc_matrix cells must be objects" path
     in
     let covered = List.map algo_of cells in
-    (* Full registry coverage is what the /3 stamp asserts; a /1 report
-       may carry a --cc-filtered subset. *)
-    if version >= 3 then
+    (* Only a run narrowed by --cc may carry a subset of the registry. *)
+    if not (narrowed_by "cc" doc) then
       List.iter
         (fun name ->
           if not (List.mem name covered) then
             bad "%s: cc_matrix does not cover registered algorithm %S" path name)
         Phi.Cc_algo.names
-  | Some _ -> bad "%s: \"cc_matrix\" must be a non-empty array" path
+  | _ -> bad "%s: \"cc_matrix\" must be a non-empty array" path
 
-(* The "swarm" section is what distinguishes a /4 report: the
-   million-flow context-plane benchmark.  Whenever present it is gated
-   against the committed service floors, so a throughput or tail-latency
-   regression in the sharded server fails CI, not just a dashboard. *)
-let check_swarm ~path ~version doc =
-  match J.member "swarm" doc with
-  | None -> if version >= 4 then bad "%s: phi-bench-report/4 requires a \"swarm\" section" path
-  | Some (J.Obj _ as swarm) ->
+(* The million-flow context-plane benchmark, gated against the
+   committed service floors, so a throughput or tail-latency regression
+   in the sharded server fails CI, not just a dashboard. *)
+let check_swarm ~path _doc swarm =
+  match swarm with
+  | J.Obj _ ->
     let number field =
       match J.member field swarm with
       | Some (J.Float v) -> v
@@ -207,18 +195,15 @@ let check_swarm ~path ~version doc =
     if p99 > max_swarm_p99_lookup_s then
       bad "%s: swarm regression: p99 lookup latency %.6fs exceeds the budget of %gs" path p99
         max_swarm_p99_lookup_s
-  | Some _ -> bad "%s: \"swarm\" must be an object" path
+  | _ -> bad "%s: \"swarm\" must be an object" path
 
-(* The "decision" section is what distinguishes a /5 report: the
-   compiled decision plane (flat whisker tables and the 64-entry
-   policy array).  Whenever present it is gated against the committed
-   speedup floor and the zero-allocation budget, so the hot lookup
-   regressing to the interpreted scan — or starting to box — fails CI. *)
-let check_decision ~path ~version doc =
-  match J.member "decision" doc with
-  | None ->
-    if version >= 5 then bad "%s: phi-bench-report/5 requires a \"decision\" section" path
-  | Some (J.Obj _ as decision) ->
+(* The compiled decision plane (flat whisker tables and the 64-entry
+   policy array), gated against the committed speedup floor and the
+   zero-allocation budget, so the hot lookup regressing to the
+   interpreted scan — or starting to box — fails CI. *)
+let check_decision ~path _doc decision =
+  match decision with
+  | J.Obj _ ->
     let number field =
       match J.member field decision with
       | Some (J.Float v) -> v
@@ -247,19 +232,17 @@ let check_decision ~path ~version doc =
     if words > max_minor_words_per_lookup then
       bad "%s: decision regression: %.4f minor words/lookup exceeds the budget of %g" path
         words max_minor_words_per_lookup
-  | Some _ -> bad "%s: \"decision\" must be an object" path
+  | _ -> bad "%s: \"decision\" must be an object" path
 
-(* The "pdes" section is what distinguishes a /6 report: the
-   conservative-parallel-DES scaling curve over the 1000-sender parking
-   lot.  Determinism is gated unconditionally — every run of the curve
+(* The conservative-parallel-DES scaling curve over the 1000-sender
+   parking lot.  Determinism is gated unconditionally — every run of the curve
    must report the same fingerprint and event count, or the partitioned
    engine diverged from its jobs=1 golden reference.  The speedup floor
    is gated only where it is measurable: a box with >= 4 cores whose
    curve includes a >= 4-domain run. *)
-let check_pdes ~path ~version doc =
-  match J.member "pdes" doc with
-  | None -> if version >= 6 then bad "%s: phi-bench-report/6 requires a \"pdes\" section" path
-  | Some (J.Obj _ as pdes) ->
+let check_pdes ~path _doc pdes =
+  match pdes with
+  | J.Obj _ ->
     let int_field ?(where = "pdes") obj field =
       match J.member field obj with
       | Some (J.Int v) -> v
@@ -324,22 +307,19 @@ let check_pdes ~path ~version doc =
         bad "%s: pdes scaling regression: %.2fx at %d domains is below the floor of %gx" path
           speedup jobs min_pdes_speedup_at_4
     | _ -> ())
-  | Some _ -> bad "%s: \"pdes\" must be an object" path
+  | _ -> bad "%s: \"pdes\" must be an object" path
 
-(* The "wan_matrix" section is what distinguishes a /7 report: the
-   algorithm x topology zoo x adversarial dynamics evaluation matrix.
-   Whenever present, every cell's figures must be physically sane —
+(* The algorithm x topology zoo x adversarial dynamics evaluation
+   matrix.  Every cell's figures must be physically sane —
    Jain fairness in (0, 1], a 99th-percentile flow completion time
    within the cell's duration, a positive delivery rate — and the
    serial determinism probe must match its pool-fanned counterpart, so
    a jobs-dependent cell (worker state leaking between runs, rng draw
    order depending on the fan-out) fails CI instead of silently
    drifting the dashboards. *)
-let check_wan_matrix ~path ~version doc =
-  match J.member "wan_matrix" doc with
-  | None ->
-    if version >= 7 then bad "%s: phi-bench-report/7 requires a \"wan_matrix\" section" path
-  | Some (J.Obj _ as wan) ->
+let check_wan_matrix ~path _doc wan =
+  match wan with
+  | J.Obj _ ->
     let number ?(where = "wan_matrix") obj field =
       match J.member field obj with
       | Some (J.Float v) -> v
@@ -401,19 +381,36 @@ let check_wan_matrix ~path ~version doc =
         bad "%s: wan_matrix determinism broken: cell %s diverges from its serial replay" path
           cell
     | Some _ | None -> bad "%s: wan_matrix section missing a \"determinism\" probe" path)
-  | Some _ -> bad "%s: \"wan_matrix\" must be an object" path
+  | _ -> bad "%s: \"wan_matrix\" must be an object" path
+
+(* Every section a full run emits, in report order, with its gate. *)
+let validators =
+  [
+    ("cc_matrix", check_cc_matrix);
+    ("swarm", check_swarm);
+    ("pdes", check_pdes);
+    ("wan_matrix", check_wan_matrix);
+    ("alloc", check_alloc);
+    ("decision", check_decision);
+    ("micro", check_micro);
+  ]
+
+let sections = List.map fst validators
 
 let check ~path doc =
   match
-    let version = check_version ~path doc in
+    check_schema ~path doc;
     check_structure ~path doc;
-    check_micro ~path doc;
-    check_alloc ~path ~version doc;
-    check_cc_matrix ~path ~version doc;
-    check_swarm ~path ~version doc;
-    check_decision ~path ~version doc;
-    check_pdes ~path ~version doc;
-    check_wan_matrix ~path ~version doc
+    let narrowed = narrowed_by "only" doc || narrowed_by "cc" doc in
+    List.iter
+      (fun (name, validate) ->
+        match J.member name doc with
+        | Some section -> validate ~path doc section
+        | None ->
+          if not narrowed then
+            bad "%s: %s requires a \"%s\" section (the run was not narrowed by --only or --cc)"
+              path schema name)
+      validators
   with
   | () -> Ok ()
   | exception Bad { message } -> Error message

@@ -1,23 +1,23 @@
 (** Validation and regression gating for phi-bench-report documents.
 
-    A report is produced by [bench/main.exe --json PATH] (schema
-    [phi-bench-report/1]) and optionally upgraded by
-    [bench/micro.exe --json PATH]: to [/2] with an "alloc" section, to
-    [/3] when the report also carries the cross-algorithm "cc_matrix"
-    section (which must then cover every algorithm registered in
-    [Phi.Cc_algo]), to [/4] when it additionally carries the
-    million-flow "swarm" section from the sharded context plane, to
-    [/5] when the compiled-decision-plane "decision" section rides
-    along as well (micro.exe now always contributes it), to [/6]
-    when the conservative-parallel-DES "pdes" scaling section is
-    present too, and to [/7] when the topology-zoo "wan_matrix"
-    evaluation section is present as well (so fresh full reports
-    stamp [/7]).
+    A report is produced by [bench/main.exe --json PATH] and carries the
+    {!schema} stamp plus one section per entry of {!sections}.  A run
+    narrowed by [--only] or [--cc] records the flag in the report (an
+    ["only"] or ["cc"] field) and may then omit sections; otherwise every
+    section is required.  Every section that is present is gated.
 
     [check] is pure validation over the parsed JSON — the CI gate
     ([bin/phi_json_check.ml]) is a thin exit-code wrapper around it,
     and the gate's own unit tests inject regressions here to prove the
     gate trips. *)
+
+val schema : string
+(** The one accepted schema stamp, [phi-bench-report/8]. *)
+
+val sections : string list
+(** The report sections, in report order, each with its own gate:
+    "cc_matrix", "swarm", "pdes", "wan_matrix", "alloc", "decision",
+    "micro". *)
 
 val max_minor_words_per_packet : float
 (** The allocation budget enforced on the "alloc" section's
@@ -52,12 +52,10 @@ val min_pdes_speedup_at_4 : float
 val check : path:string -> Phi_util.Json.t -> (unit, string) result
 (** [check ~path doc] validates a parsed bench report.  [path] is used
     only to prefix error messages.  Returns [Error message] on the
-    first violation: unknown schema, missing required fields, malformed
-    sections, or a committed-budget regression (allocation, swarm
-    throughput, swarm tail latency, decision-plane speedup, per-lookup
-    allocation, pdes determinism or scaling, wan_matrix fairness/FCT
-    sanity or serial-probe determinism).  Optional sections ("micro",
-    "alloc", "cc_matrix", "swarm", "decision", "pdes", "wan_matrix")
-    are validated whenever present; schema versions [/2]..[/7]
-    additionally require their distinguishing sections to be
-    present. *)
+    first violation: unknown schema, missing required fields or
+    sections, malformed sections, or a committed-budget regression
+    (allocation, swarm throughput, swarm tail latency, decision-plane
+    speedup, per-lookup allocation, pdes determinism or scaling,
+    wan_matrix fairness/FCT sanity or serial-probe determinism).  The
+    cc_matrix must cover every registered algorithm unless the run was
+    narrowed by [--cc]. *)

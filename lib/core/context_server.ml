@@ -115,14 +115,10 @@ let shard_count t = Array.length t.shards
 
 (* FNV-1a over the prefix, reduced mod the shard count: stable across
    runs and processes (the swarm's jobs-invariance rests on it). *)
-let prefix_hash path =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xffffffff) path;
-  !h
-
 let shard_of t path =
   let n = Array.length t.shards in
-  if n = 1 then t.shards.(0) else t.shards.(prefix_hash path mod n)
+  if n = 1 then t.shards.(0)
+  else t.shards.(Phi_util.Fnv.fold_string Phi_util.Fnv.offset path mod n)
 
 let current_epoch t = int_of_float (Engine.now t.engine /. t.epoch_s)
 

@@ -11,6 +11,7 @@ module Sender = Phi_tcp.Sender
 module Receiver = Phi_tcp.Receiver
 module Cubic = Phi_tcp.Cubic
 module Prng = Phi_util.Prng
+module Fnv = Phi_util.Fnv
 
 type spec = {
   segments : int;
@@ -82,8 +83,6 @@ type result = {
   retransmitted : int;
 }
 
-let fnv_int h v = (h lxor (v land 0xffffffff)) * 0x01000193 land 0xffffffff
-
 (* The multi-bottleneck parking lot, partitioned one island per
    segment: [Zoo.parking_lot] describes the graph (a bottleneck hop per
    segment with a reverse twin for ACKs, [local_pairs] host pairs
@@ -133,9 +132,9 @@ let run ?(jobs = 1) ?(spec = default_spec) () =
   let jobs_used = if Invariant.enabled () then 1 else Stdlib.min jobs s_count in
   let window_s = Pdes.lookahead_s coordinator in
   let window_s = if Float.is_finite window_s then window_s else spec.duration_s in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   Pdes.run ~jobs:jobs_used ~window_s ~until:spec.duration_s coordinator;
-  let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+  let wall_s = Float.max 1e-9 (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9) in
   (* Harvest (serial again). *)
   let events = Topology.total_events built in
   let labeled kind s = Topology.link_of built (Topology.find_link built ~label:(Printf.sprintf "%s:%d" kind s)) in
@@ -183,21 +182,21 @@ let run ?(jobs = 1) ?(spec = default_spec) () =
      must not depend on the worker count — link counters, boundary
      crossings, per-flow progress, and the engines' event counts. *)
   let checksum =
-    let h = ref 0x811c9dc5 in
+    let h = ref Fnv.offset in
     Array.iter
       (fun (hs : hop_stat) ->
-        h := fnv_int !h hs.delivered;
-        h := fnv_int !h hs.drops;
-        h := fnv_int !h hs.bytes)
+        h := Fnv.fold_int !h hs.delivered;
+        h := Fnv.fold_int !h hs.drops;
+        h := Fnv.fold_int !h hs.bytes)
       hop_stats;
-    Array.iter (fun b -> h := fnv_int !h (Boundary_link.delivered b)) f_cut;
-    Array.iter (fun b -> h := fnv_int !h (Boundary_link.delivered b)) r_cut;
+    Array.iter (fun b -> h := Fnv.fold_int !h (Boundary_link.delivered b)) f_cut;
+    Array.iter (fun b -> h := Fnv.fold_int !h (Boundary_link.delivered b)) r_cut;
     List.iter
       (fun (st : Flow.conn_stats) ->
-        h := fnv_int !h st.Flow.segments;
-        h := fnv_int !h st.Flow.retransmitted_segments)
+        h := Fnv.fold_int !h st.Flow.segments;
+        h := Fnv.fold_int !h st.Flow.retransmitted_segments)
       (local_stats @ long_stats);
-    h := fnv_int !h events;
+    h := Fnv.fold_int !h events;
     !h
   in
   let fingerprint =

@@ -2,6 +2,7 @@ module Engine = Phi_sim.Engine
 module Pool = Phi_runner.Pool
 module Stats = Phi_util.Stats
 module Prng = Phi_util.Prng
+module Fnv = Phi_util.Fnv
 module Cloud_trace = Phi_workload.Cloud_trace
 module Context_server = Phi.Context_server
 module Context_wire = Phi.Context_wire
@@ -89,15 +90,6 @@ let slot_name = function
   | 3 -> "remy"
   | _ -> "remy-phi"
 
-(* The same FNV-1a the context server uses for shard placement.  The
-   cell index takes the hash's {e high} bits: the server takes it mod
-   the shard count, and using the same low bits for both would send
-   every path of a cell to a single shard. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xffffffff) s;
-  !h
-
 (* One pre-encoded wire message, stamped with its firing time and a
    global sequence number (the deterministic tie-break for messages
    landing in the same instant). *)
@@ -133,7 +125,12 @@ let generate config =
          let i = !emitted in
          incr emitted;
          let path = "subnet-" ^ string_of_int (Cloud_trace.dst_subnet flow) in
-         let cell = fnv1a path lsr 13 mod config.cells in
+         (* The same FNV-1a the context server uses for shard placement.
+            The cell index takes the hash's {e high} bits: the server
+            takes it mod the shard count, and using the same low bits
+            for both would send every path of a cell to a single
+            shard. *)
+         let cell = Fnv.fold_string Fnv.offset path lsr 13 mod config.cells in
          (* Three quarters of the fleet tolerates two epochs of
             staleness; the rest demands a fresh answer, keeping both
             lookup paths hot. *)
@@ -182,14 +179,6 @@ type cell_out = {
   c_lat_n : int;
 }
 
-(* Fold a response's wire bytes into a cell's FNV checksum: the
-   determinism fingerprint covers every byte the swarm's clients would
-   have seen. *)
-let checksum_add acc wire =
-  let h = ref acc in
-  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xffffffff) wire;
-  !h
-
 let run_cell config policy ops =
   let ops = Array.of_list ops in
   Array.sort
@@ -202,7 +191,7 @@ let run_cell config policy ops =
       ~epoch_s:config.epoch_s ~shards:config.shards_per_cell
       ~max_paths_per_shard:config.max_paths_per_shard ~ttl_epochs:config.ttl_epochs ()
   in
-  let lookups = ref 0 and reports = ref 0 and checksum = ref 0x811c9dc5 in
+  let lookups = ref 0 and reports = ref 0 and checksum = ref Fnv.offset in
   let choices = Array.make slots 0 in
   let lat = Float.Array.make (Array.length ops) 0. in
   let lat_n = ref 0 in
@@ -212,9 +201,9 @@ let run_cell config policy ops =
       match Context_wire.decode_request op.wire with
       | Error e -> invalid_arg ("Swarm.run: corrupt pre-encoded request: " ^ e)
       | Ok req ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Monotonic_clock.now () in
         let resp = Context_server.handle server req in
-        let t1 = Unix.gettimeofday () in
+        let t1 = Monotonic_clock.now () in
         let resp_wire = Context_wire.response_to_string resp in
         (* The client half of the protocol: decode the response and, for
            lookups, run the decoded context through the compiled policy —
@@ -225,11 +214,13 @@ let run_cell config policy ops =
           choices.(slot) <- choices.(slot) + 1
         | Ok (Context_wire.Accepted _) -> ()
         | Error e -> invalid_arg ("Swarm.run: response failed to round-trip: " ^ e));
-        checksum := checksum_add !checksum resp_wire;
+        (* The determinism fingerprint covers every byte the swarm's
+           clients would have seen. *)
+        checksum := Fnv.fold_string !checksum resp_wire;
         (match req with
         | Context_wire.Lookup _ ->
           incr lookups;
-          Float.Array.set lat !lat_n (t1 -. t0);
+          Float.Array.set lat !lat_n (Int64.to_float (Int64.sub t1 t0) *. 1e-9);
           incr lat_n
         | Context_wire.Report _ -> incr reports))
     ops;
@@ -256,14 +247,14 @@ let run ?jobs ?(config = default_config) () =
   let buckets = generate config in
   (* Compiled once; immutable, so all cells share it across domains. *)
   let policy = Policy.Compiled.compile (swarm_policy ()) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let outs = Pool.map ?jobs (run_cell config policy) (Array.to_list buckets) in
-  let elapsed_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+  let elapsed_s = Float.max 1e-9 (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9) in
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 outs in
   let lookups = sum (fun o -> o.c_lookups) and reports = sum (fun o -> o.c_reports) in
   let checksum =
-    List.fold_left (fun acc o -> (acc * 0x01000193 lxor o.c_checksum) land 0xffffffff)
-      0x811c9dc5 outs
+    List.fold_left (fun acc o -> (acc * Fnv.prime lxor o.c_checksum) land 0xffffffff)
+      Fnv.offset outs
   in
   let shard_lookups = Array.concat (List.map (fun o -> o.c_shard_lookups) outs) in
   (* Jain over per-shard lookup loads: 1 is a perfectly balanced hash,

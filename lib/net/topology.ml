@@ -268,6 +268,9 @@ let realize ~graph ~engines ~pools ~islands ~island_ix =
       Hashtbl.replace node_tbl id (Node.create engines.(island) pools.(island) ~id))
     (Graph.node_ids graph);
   let labels = Hashtbl.create 16 in
+  (* [Graph.links] rebuilds the array on every call: bind it once, or
+     the route loop below costs O(routes x links). *)
+  let links = Graph.links graph in
   let conduits =
     Array.mapi
       (fun ix (l : Graph.link_spec) ->
@@ -301,7 +304,7 @@ let realize ~graph ~engines ~pools ~islands ~island_ix =
           Boundary_link.set_receiver b (Node.receive to_);
           Boundary b
         end)
-      (Graph.links graph)
+      links
   in
   let egress ix =
     match conduits.(ix) with Direct l -> l | Boundary bl -> Boundary_link.egress bl
@@ -315,7 +318,7 @@ let realize ~graph ~engines ~pools ~islands ~island_ix =
       in
       (* A node can only transmit into a link that starts on its own
          island (a boundary's egress half lives on the source island). *)
-      let l = (Graph.links graph).(r.r_via) in
+      let l = links.(r.r_via) in
       if island_ix (Graph.island_of graph r.r_at) <> island_ix (Graph.island_of graph l.l_src)
       then
         invalid_arg

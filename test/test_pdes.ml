@@ -392,13 +392,13 @@ let wan_zoo_fingerprint ~jobs =
       zoo.Topology.Zoo.flow_paths
   in
   Pdes.run ~jobs ~window_s:(Pdes.lookahead_s coordinator) ~until:2. coordinator;
-  let fnv h v = (h lxor (v land 0xffffffff)) * 0x01000193 land 0xffffffff in
+  let fnv = Phi_util.Fnv.fold_int in
   let checksum =
     Array.fold_left
       (fun acc s ->
         let st = Phi_tcp.Sender.stats s in
         fnv (fnv acc st.Phi_tcp.Flow.segments) st.Phi_tcp.Flow.retransmitted_segments)
-      0x811c9dc5 senders
+      Phi_util.Fnv.offset senders
   in
   Printf.sprintf "events=%d checksum=%08x" (Topology.total_events built) checksum
 

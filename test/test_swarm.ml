@@ -22,6 +22,14 @@ let test_swarm_completes () =
   Alcotest.(check bool) "p99 at least p50" true (r.Swarm.p99_lookup_s >= r.Swarm.p50_lookup_s);
   Alcotest.(check bool) "latencies non-negative" true (r.Swarm.p50_lookup_s >= 0.)
 
+(* A warm lookup is served in under a microsecond, so a clock that
+   ticks in microseconds reads most of them as 0 and the median as
+   exactly 0; the nanosecond monotonic clock must resolve it.  The fleet
+   is large enough that the median comes from warm lookups. *)
+let test_swarm_p50_resolves () =
+  let r = Swarm.run ~jobs:1 ~config:{ small with Swarm.n_flows = 100_000 } () in
+  Alcotest.(check bool) "p50 lookup latency above 0" true (r.Swarm.p50_lookup_s > 0.)
+
 (* The fingerprint (counts, response checksum, residency, balance) must
    not depend on the domain fan-out; only the timing half may. *)
 let test_swarm_fingerprint_jobs_invariant () =
@@ -39,6 +47,7 @@ let test_swarm_seed_changes_fingerprint () =
 let suite =
   [
     Alcotest.test_case "swarm completes and reports sane metrics" `Quick test_swarm_completes;
+    Alcotest.test_case "p50 lookup latency resolves" `Quick test_swarm_p50_resolves;
     Alcotest.test_case "fingerprint is jobs-invariant" `Quick
       test_swarm_fingerprint_jobs_invariant;
     Alcotest.test_case "fingerprint tracks the workload" `Quick
