@@ -1,4 +1,5 @@
-(* hot-alloc: the allocation-effect lattice and its propagation.
+(* hot-alloc: the allocation-effect lattice and its propagation (and
+   hot-poly, which reuses its reachability; see the end of the file).
 
    Each function's own effect is the set of allocation kinds appearing
    (non-cold) in its body; its summary effect is the join of its own
@@ -125,5 +126,55 @@ let violations ?(entries = default_entries) graph =
                 }
                 :: !out)
           f.f_allocs)
+    (Callgraph.funcs graph);
+  List.rev !out
+
+(* {2 hot-poly}
+
+   Without flambda, [min]/[max]/[compare] are never specialised: even on
+   ints they call the runtime's generic comparison.  A generic
+   [Hashtbl] operation hashes its key with [caml_hash] and compares keys
+   with [compare_val].  On a path that runs per packet, both cost more
+   than the work around them; an int-keyed [Hashtbl.Make] instance and
+   explicit int comparisons do not. *)
+
+let poly_callee path =
+  let starts prefix =
+    String.length path >= String.length prefix
+    && String.sub path 0 (String.length prefix) = prefix
+  in
+  match path with
+  | "min" | "max" | "compare" | "Stdlib.min" | "Stdlib.max" | "Stdlib.compare" -> true
+  | _ -> starts "Hashtbl." || starts "Stdlib.Hashtbl."
+
+let poly_violations ?(entries = default_entries) graph =
+  let roots = List.concat_map (Callgraph.find graph) entries in
+  let paths = Callgraph.reach graph ~roots ~include_cold:false in
+  let out = ref [] in
+  List.iter
+    (fun (f : Ast_scan.func) ->
+      match Hashtbl.find_opt paths f.f_id with
+      | None -> ()
+      | Some chain ->
+        let caller_module = Callgraph.caller_module_of f in
+        List.iter
+          (fun (c : Ast_scan.call) ->
+            (* A bare [min] that resolves to a project function is that
+               function, not the stdlib one. *)
+            if
+              (not c.c_cold)
+              && poly_callee c.c_path
+              && Callgraph.resolve graph ~caller_module c.c_path = []
+            then
+              out :=
+                {
+                  file = f.f_file;
+                  line = c.c_line;
+                  message =
+                    Printf.sprintf "polymorphic call (%s) in %s, hot via %s" c.c_path f.f_id
+                      (render_chain chain);
+                }
+                :: !out)
+          f.f_calls)
     (Callgraph.funcs graph);
   List.rev !out

@@ -1,4 +1,5 @@
-(** hot-alloc: allocation-effect propagation over the call graph.
+(** hot-alloc: allocation-effect propagation over the call graph, and
+    hot-poly: polymorphic runtime calls on the same hot paths.
 
     A function's effect is the set of {!Ast_scan.alloc_kind}s it can
     perform, joined with its resolvable callees' effects to a fixpoint.
@@ -24,3 +25,12 @@ type finding = { file : string; line : int; message : string }
 val violations : ?entries:string list -> Callgraph.t -> finding list
 (** One finding per non-cold allocation site reachable from [entries]
     (default {!default_entries}), in file order of discovery. *)
+
+val poly_violations : ?entries:string list -> Callgraph.t -> finding list
+(** hot-poly: one finding per non-cold reference to [min], [max] or
+    [compare] (bare or [Stdlib.]-qualified, and not resolving to a
+    project function) or to a generic [Hashtbl] operation, in every
+    function reachable from [entries] (default {!default_entries})
+    through the same non-cold edges as {!violations}.  Without flambda
+    these are calls into the runtime's generic comparison and hashing
+    ([caml_lessequal], [compare_val], [caml_hash]) on every execution. *)

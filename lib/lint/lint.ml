@@ -19,7 +19,8 @@ let rules =
        allocate it per run (from the seed) or suppress with an explicit justification" );
     ( "hot-queue",
       "Stdlib.Queue allocates one cons cell per element; hot-path simulation code \
-       (lib/net, lib/sim) must use Phi_sim.Ring instead" );
+       (lib/net, lib/sim) must use a flat array ring such as Phi_net.Packet.Fifo \
+       instead" );
     ( "packet-escape",
       "pooled packet handles die at release: construct packets only through the pool \
        (Packet.acquire_data / Packet.acquire_ack), never store a handle in a mutable \
@@ -33,6 +34,11 @@ let rules =
        loop / link pipeline / per-packet transport handlers through the call graph; \
        hoist the allocation to setup, use a pooled or flat representation, or suppress \
        with a justification" );
+    ( "hot-poly",
+      "polymorphic call on a steady-state hot path: min/max/compare and generic \
+       Hashtbl operations reachable from the engine loop go through the runtime's \
+       generic compare and hash; use int comparisons and an int-keyed Hashtbl.Make \
+       table, or suppress with a justification" );
     ( "handle-lifetime",
       "pooled packet handle misused across control flow: used after Packet.release, \
        double-released, or acquired without a release or ownership transfer on every \
@@ -528,7 +534,7 @@ let lint_source ~path src =
 
 (* {2 Cross-module passes}
 
-   [hot-alloc] and [domain-race] need the whole library at once: the
+   [hot-alloc], [hot-poly] and [domain-race] need the whole library at once: the
    per-file facts feed one call graph, the dataflow passes run on top,
    and each finding is filtered against its own file's allow
    directives (same line or the line above, like every other rule). *)
@@ -550,6 +556,10 @@ let cross_module_violations files =
         (fun (f : Effects.finding) ->
           { file = f.file; line = f.line; rule = "hot-alloc"; message = f.message })
         (Effects.violations graph)
+      @ List.map
+          (fun (f : Effects.finding) ->
+            { file = f.file; line = f.line; rule = "hot-poly"; message = f.message })
+          (Effects.poly_violations graph)
       @ List.map
           (fun (f : Race.finding) ->
             { file = f.file; line = f.line; rule = "domain-race"; message = f.message })

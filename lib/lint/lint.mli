@@ -57,7 +57,8 @@ val rules : (string * string) list
       the mutable state on the same line.
     - [hot-queue]: any [Queue]/[Stdlib.Queue] use inside the per-packet
       hot-path libraries ([lib/net], [lib/sim]) — the stdlib queue
-      allocates a cons cell per element; use {!Phi_sim.Ring}.
+      allocates a cons cell per element; use a flat array ring such as
+      {!Phi_net.Packet.Fifo}.
     - [packet-escape]: violations of the pooled-packet ownership
       contract in the packet-handling layers ([lib/net], [lib/tcp],
       except the pool module itself): constructing a packet through the
@@ -80,6 +81,12 @@ val rules : (string * string) list
       [invalid_arg] arguments), sanitizer-guarded branches
       ([Invariant.enabled ()] / [!Invariant.armed]) and
       [@inline never] cold helpers are excluded.
+    - [hot-poly] (AST): a reference to [min], [max] or [compare] (bare
+      or [Stdlib.]-qualified) or to a generic [Hashtbl] operation in a
+      function reachable from the same hot entry points through the same
+      edges as [hot-alloc].  Without flambda these run the runtime's
+      generic comparison and hashing on every call; use int comparisons
+      and an int-keyed [Hashtbl.Make] table.
     - [handle-lifetime] (AST): per-function dataflow over pooled packet
       handles in the [packet-escape] scope — use after
       [Packet.release] (any distance, any control flow), double

@@ -1,5 +1,5 @@
 module Engine = Phi_sim.Engine
-module Ring = Phi_sim.Ring
+module Fifo = Packet.Fifo
 module Invariant = Phi_sim.Invariant
 
 type red_params = {
@@ -32,12 +32,15 @@ type t = {
   mutable bandwidth_bps : float;
   mutable delay_s : float;
   capacity_pkts : int;
-  queue : Packet.handle Ring.t;
-  (* Packets serialized but still propagating.  Every delivery on a link
-     takes the same [delay_s], so deliveries complete in FIFO order and
-     the pre-registered delivery port can simply pop this ring — no
-     per-packet closure capturing the packet. *)
-  in_flight : Packet.handle Ring.t;
+  queue : Fifo.t;
+  (* Packets serialized but still propagating, each stamped with the
+     [(time, seq)] its delivery event received when its serialization
+     ended (see [on_tx_done]).  Deliveries complete in FIFO order (the
+     [fs_last_delivery] clamp keeps them so across delay changes), so
+     only the head's delivery is ever in the engine's heap: one pending
+     delivery per link however many packets propagate, instead of one
+     heap entry per packet in flight. *)
+  in_flight : Fifo.t;
   mutable tx_done_port : Engine.port;
   mutable deliver_port : Engine.port;
   mutable memo_size : int;
@@ -114,7 +117,7 @@ let[@inline] tx_time t size =
     tx
   end
 
-let queued_bytes t = Ring.fold (fun acc p -> acc + Packet.size t.pool p) 0 t.queue
+let queued_bytes t = Fifo.fold (fun acc p -> acc + Packet.size t.pool p) 0 t.queue
 
 (* Sanitizer hook: every packet and byte offered to the link must be
    delivered, dropped, or still queued — nothing may vanish or be
@@ -123,7 +126,7 @@ let queued_bytes t = Ring.fold (fun acc p -> acc + Packet.size t.pool p) 0 t.que
 let check_conservation t =
   if Invariant.enabled () then begin
     let now = Engine.now t.engine in
-    let queued = Ring.length t.queue in
+    let queued = Fifo.length t.queue in
     if queued > t.capacity_pkts then
       Invariant.record ~rule:"queue-occupancy" ~time:now
         (Printf.sprintf "Link: queue %d exceeds capacity %d" queued t.capacity_pkts);
@@ -146,12 +149,12 @@ let check_conservation t =
    port), then start on the next queued packet.  [busy] guards against
    starting two transmissions at once.  Both ports are registered once
    at link creation, so the per-packet path schedules them without
-   allocating a single closure — and the rings hold pool handles
+   allocating a single closure — and the FIFOs hold pool handles
    (immediate ints), so no packet is ever boxed either. *)
 let start_service t =
-  if (not t.up) || Ring.is_empty t.queue then t.busy <- false
+  if (not t.up) || Fifo.is_empty t.queue then t.busy <- false
   else begin
-    let pkt = Ring.peek t.queue in
+    let pkt = Fifo.peek t.queue in
     t.busy <- true;
     let now = Engine.now t.engine in
     fs_set t fs_total_queue_wait
@@ -161,29 +164,46 @@ let start_service t =
     Engine.schedule_port_after t.engine ~delay:tx t.tx_done_port
   end
 
+(* A packet entering propagation takes its delivery's [(time, seq)]
+   now, exactly as if its delivery were scheduled now: [now +. delay]
+   (the IEEE expression [schedule_port_after] would compute), clamped to
+   the previous delivery when a mid-run delay {e decrease} would let it
+   overtake, and the engine's next tie-break number.  Only a packet
+   entering an empty propagation stage is scheduled at once; the others
+   wait in [in_flight] with their stamps until their predecessor is
+   delivered.  The engine pops in [(time, seq)] order, so the event
+   sequence is the same as scheduling every delivery eagerly. *)
 let on_tx_done t =
-  let pkt = Ring.pop t.queue in
+  let pkt = Fifo.pop t.queue in
   fs_set t fs_busy_time (fs_get t fs_busy_time +. fs_get t fs_in_service_tx);
   t.packets_delivered <- t.packets_delivered + 1;
   t.bytes_delivered <- t.bytes_delivered + Packet.size t.pool pkt;
   (match t.handoff with
   | None ->
-    Ring.push t.in_flight pkt;
-    (* [schedule_port_after] lands at [now +. delay] — the same IEEE
-       expression as [due] — so the fast path below is the legacy
-       behaviour verbatim; only a mid-run delay {e decrease} can take
-       the clamped branch. *)
     let due = Engine.now t.engine +. t.delay_s in
-    if due >= fs_get t fs_last_delivery then begin
-      fs_set t fs_last_delivery due;
-      Engine.schedule_port_after t.engine ~delay:t.delay_s t.deliver_port
-    end
-    else Engine.schedule_port_at t.engine ~time:(fs_get t fs_last_delivery) t.deliver_port
+    let due =
+      if due >= fs_get t fs_last_delivery then begin
+        fs_set t fs_last_delivery due;
+        due
+      end
+      else fs_get t fs_last_delivery
+    in
+    let seq = Engine.reserve_seq t.engine in
+    if Fifo.is_empty t.in_flight then
+      Engine.schedule_port_reserved t.engine ~time:due ~seq t.deliver_port;
+    Fifo.push_stamped t.in_flight pkt ~time:due ~seq
   | Some f -> f pkt);
   check_conservation t;
   start_service t
 
-let on_deliver t = t.receiver (Ring.pop t.in_flight)
+(* Hand the head to the receiver, first scheduling its successor's
+   delivery under the stamp it was given at serialization. *)
+let on_deliver t =
+  let pkt = Fifo.pop t.in_flight in
+  if not (Fifo.is_empty t.in_flight) then
+    Engine.schedule_port_reserved t.engine ~time:(Fifo.head_time t.in_flight)
+      ~seq:(Fifo.head_seq t.in_flight) t.deliver_port;
+  t.receiver pkt
 
 let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
   if bandwidth_bps <= 0. then invalid_arg "Link.create: bandwidth must be positive";
@@ -196,8 +216,8 @@ let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
       bandwidth_bps;
       delay_s;
       capacity_pkts;
-      queue = Ring.create ();
-      in_flight = Ring.create ();
+      queue = Fifo.create ();
+      in_flight = Fifo.create ~stamped:true ();
       tx_done_port = Engine.port engine (fun () -> ());
       deliver_port = Engine.port engine (fun () -> ());
       memo_size = -1;
@@ -233,7 +253,7 @@ let set_discipline t ~rng discipline =
   | Drop_tail -> ());
   t.discipline <- discipline;
   t.red_rng <- Some rng;
-  fs_set t fs_red_avg (float_of_int (Ring.length t.queue))
+  fs_set t fs_red_avg (float_of_int (Fifo.length t.queue))
 
 (* RED early-drop/mark decision (simplified: no idle-time correction, no
    between-drop spacing).  With [mark_ecn], band "drops" become CE marks
@@ -241,7 +261,7 @@ let set_discipline t ~rng discipline =
 let red_rejects t p pkt =
   let avg =
     ((1. -. p.weight) *. fs_get t fs_red_avg)
-    +. (p.weight *. float_of_int (Ring.length t.queue))
+    +. (p.weight *. float_of_int (Fifo.length t.queue))
   in
   fs_set t fs_red_avg avg;
   if avg < float_of_int p.min_threshold then false
@@ -272,7 +292,7 @@ let send t pkt =
   let size = Packet.size t.pool pkt in
   t.packets_offered <- t.packets_offered + 1;
   t.bytes_offered <- t.bytes_offered + size;
-  if (not t.up) || Ring.length t.queue >= t.capacity_pkts || discipline_rejects t pkt
+  if (not t.up) || Fifo.length t.queue >= t.capacity_pkts || discipline_rejects t pkt
      || faulted t
   then begin
     t.drops <- t.drops + 1;
@@ -282,7 +302,7 @@ let send t pkt =
   end
   else begin
     Packet.set_enqueued_at t.pool pkt (Engine.now t.engine);
-    Ring.push t.queue pkt;
+    Fifo.push t.queue pkt;
     if not t.busy then start_service t
   end;
   check_conservation t
@@ -355,7 +375,7 @@ let window_throughput_bps t w ~elapsed_s =
   float_of_int (window_bytes_delivered t w * 8) /. elapsed_s
 
 let window_utilization t w ~elapsed_s = Float.min 1. (window_busy_s t w /. elapsed_s)
-let queue_length t = Ring.length t.queue
+let queue_length t = Fifo.length t.queue
 let ecn_marks t = t.ecn_marks
 let packets_delivered t = t.packets_delivered
 let bytes_offered t = t.bytes_offered

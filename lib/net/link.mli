@@ -7,6 +7,15 @@
     on FIFO's incentive incompatibility) with RED available for the
     DESIGN.md ablations.
 
+    However many packets propagate, the link keeps a single delivery in
+    the engine's heap, for the oldest one: each packet takes its
+    delivery's time and FIFO tie-break number
+    ({!Phi_sim.Engine.reserve_seq}) when its serialization ends, and
+    each delivery schedules the next under that stamp
+    ({!Phi_sim.Engine.schedule_port_reserved}).  Events therefore fire
+    in exactly the order that scheduling every delivery at once would
+    give.
+
     The link keeps the counters the Phi experiments need: bytes and packets
     carried, drops, busy (serialization) time for utilization, and the
     aggregate time packets spent queued (for queueing-delay figures). *)

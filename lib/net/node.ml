@@ -1,9 +1,16 @@
+module Int_table = Phi_util.Int_table
+
+(* Routes and flow handlers are int-keyed tables rather than generic
+   [Hashtbl]s: [receive] probes one of them for every packet, and the
+   generic table would hash and compare each key through the runtime.
+   Routes stay a table, not an array indexed by node id: a dense array
+   per node costs nodes^2 memory on large topologies. *)
 type t = {
   id : int;
   pool : Packet.pool;
-  routes : (int, Link.t) Hashtbl.t;
+  routes : Link.t Int_table.t;
   mutable default_route : Link.t option;
-  flows : (int, Packet.handle -> unit) Hashtbl.t;
+  flows : (Packet.handle -> unit) Int_table.t;
   mutable unroutable_drops : int;
   mutable unclaimed_deliveries : int;
 }
@@ -12,9 +19,9 @@ let create _engine pool ~id =
   {
     id;
     pool;
-    routes = Hashtbl.create 16;
+    routes = Int_table.create 16;
     default_route = None;
-    flows = Hashtbl.create 16;
+    flows = Int_table.create 16;
     unroutable_drops = 0;
     unclaimed_deliveries = 0;
   }
@@ -22,22 +29,22 @@ let create _engine pool ~id =
 let id t = t.id
 let pool t = t.pool
 
-let add_route t ~dst link = Hashtbl.replace t.routes dst link
+let add_route t ~dst link = Int_table.replace t.routes dst link
 
 let set_default_route t link = t.default_route <- Some link
 
-let bind_flow t ~flow handler = Hashtbl.replace t.flows flow handler
+let bind_flow t ~flow handler = Int_table.replace t.flows flow handler
 
-let unbind_flow t ~flow = Hashtbl.remove t.flows flow
+let unbind_flow t ~flow = Int_table.remove t.flows flow
 
-(* Lookups use [Hashtbl.find] + exception matching rather than
+(* Lookups use [Int_table.find] + exception matching rather than
    [find_opt]: this is the per-packet path and the [Some] box would be
    one allocation per forwarded/delivered packet.  [Not_found] here is a
    preallocated constant, so the miss path is allocation-free too. *)
 let receive t pkt =
   let dst = Packet.dst t.pool pkt in
   if dst = t.id then begin
-    (match Hashtbl.find t.flows (Packet.flow t.pool pkt) (* phi-lint: allow hashtbl-find *) with
+    (match Int_table.find t.flows (Packet.flow t.pool pkt) with
     | handler -> handler pkt
     | exception Not_found -> t.unclaimed_deliveries <- t.unclaimed_deliveries + 1);
     (* Local delivery ends the packet's life: handlers read fields out
@@ -45,7 +52,7 @@ let receive t pkt =
     Packet.release t.pool pkt
   end
   else
-    match Hashtbl.find t.routes dst (* phi-lint: allow hashtbl-find *) with
+    match Int_table.find t.routes dst with
     | link -> Link.send link pkt
     | exception Not_found -> (
       match t.default_route with

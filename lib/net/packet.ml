@@ -278,3 +278,101 @@ let pp pool ppf h =
   let kind = if is_data pool h then "data" else "ack" in
   Format.fprintf ppf "%s[flow=%d %d->%d seq=%d %dB t=%.4f]" kind (flow pool h) (src pool h)
     (dst pool h) (seq pool h) (size pool h) (sent_at pool h)
+
+(* {2 Handle FIFOs}
+
+   A circular buffer over plain [int array]s: handles are immediates, so
+   every store is a bare write — no [caml_modify] barrier, unlike a
+   polymorphic ['a array] ring — and push/pop allocate nothing once the
+   buffer has grown to its working size. *)
+module Fifo = struct
+  type t = {
+    stamped : bool;
+    mutable hs : int array;
+    (* Stamped FIFOs only, one entry per slot of [hs]. *)
+    mutable seqs : int array;
+    mutable times : floatarray;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create ?(stamped = false) () =
+    { stamped; hs = [||]; seqs = [||]; times = Float.Array.create 0; head = 0; len = 0 }
+
+  let[@inline] length t = t.len
+  let[@inline] is_empty t = t.len = 0
+
+  (* Double in place, unwrapping the live run to the front.  Amortized:
+     steady-state pushes reuse the grown arrays. *)
+  let grow t =
+    let cap = Array.length t.hs in
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let hs = Array.make ncap 0 in (* phi-lint: allow hot-alloc *)
+    let seqs = Array.make (if t.stamped then ncap else 0) 0 in (* phi-lint: allow hot-alloc *)
+    let times = Float.Array.make (if t.stamped then ncap else 0) 0. in (* phi-lint: allow hot-alloc *)
+    for i = 0 to t.len - 1 do
+      let j = (t.head + i) mod cap in
+      hs.(i) <- t.hs.(j);
+      if t.stamped then begin
+        seqs.(i) <- t.seqs.(j);
+        Float.Array.set times i (Float.Array.get t.times j)
+      end
+    done;
+    t.hs <- hs;
+    t.seqs <- seqs;
+    t.times <- times;
+    t.head <- 0
+
+  (* Slot of the [i]-th queued entry; callers keep [i <= len < cap]. *)
+  let[@inline] slot t i =
+    let j = t.head + i in
+    let cap = Array.length t.hs in
+    if j >= cap then j - cap else j
+
+  let[@inline] push t h =
+    if t.len = Array.length t.hs then grow t;
+    Array.unsafe_set t.hs (slot t t.len) h;
+    t.len <- t.len + 1
+
+  let[@inline never] unstamped () = invalid_arg "Packet.Fifo.push_stamped: FIFO is not stamped"
+
+  (* Inlined so [time] reaches the [floatarray] store unboxed. *)
+  let[@inline] push_stamped t h ~time ~seq =
+    if not t.stamped then unstamped ();
+    if t.len = Array.length t.hs then grow t;
+    let s = slot t t.len in
+    Array.unsafe_set t.hs s h;
+    Array.unsafe_set t.seqs s seq;
+    Float.Array.unsafe_set t.times s time;
+    t.len <- t.len + 1
+
+  let[@inline never] empty what = invalid_arg ("Packet.Fifo." ^ what ^ ": empty")
+
+  let[@inline] peek t =
+    if t.len = 0 then empty "peek";
+    Array.unsafe_get t.hs t.head
+
+  (* Inlined: an out-of-line float return would be boxed. *)
+  let[@inline] head_time t =
+    if t.len = 0 || not t.stamped then empty "head_time";
+    Float.Array.unsafe_get t.times t.head
+
+  let[@inline] head_seq t =
+    if t.len = 0 || not t.stamped then empty "head_seq";
+    Array.unsafe_get t.seqs t.head
+
+  let[@inline] pop t =
+    if t.len = 0 then empty "pop";
+    let h = Array.unsafe_get t.hs t.head in
+    let next = t.head + 1 in
+    t.head <- (if next = Array.length t.hs then 0 else next);
+    t.len <- t.len - 1;
+    h
+
+  let fold f acc t =
+    let acc = ref acc in
+    for i = 0 to t.len - 1 do
+      acc := f !acc (Array.unsafe_get t.hs (slot t i))
+    done;
+    !acc
+end

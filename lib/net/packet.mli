@@ -151,3 +151,47 @@ val high_water : pool -> int
 (** Maximum simultaneously live cells since creation. *)
 
 val pp : pool -> Format.formatter -> handle -> unit
+
+(** {2 Handle FIFOs} *)
+
+(** Growable circular FIFO of packet handles: a link's queue and its
+    propagation stage.  Storage is plain [int array]s, so pushes and
+    pops are barrier-free stores that allocate nothing once the buffer
+    has reached its working size (it doubles in place when full).
+
+    A {e stamped} FIFO also carries a [(time, seq)] pair beside each
+    handle: {!Link} records there the delivery time and the engine
+    tie-break number ({!Phi_sim.Engine.reserve_seq}) that each
+    propagating packet received when its serialization ended. *)
+module Fifo : sig
+  type t
+
+  val create : ?stamped:bool -> unit -> t
+  (** An empty FIFO; [stamped] (default false) enables the
+      [(time, seq)] lane. *)
+
+  val length : t -> int
+  val is_empty : t -> bool
+
+  val push : t -> handle -> unit
+  (** Append at the tail. *)
+
+  val push_stamped : t -> handle -> time:float -> seq:int -> unit
+  (** Append with a [(time, seq)] stamp.  Raises [Invalid_argument] on
+      an unstamped FIFO. *)
+
+  val peek : t -> handle
+  (** Head without removing it.  Raises [Invalid_argument] when empty. *)
+
+  val head_time : t -> float
+  val head_seq : t -> int
+  (** The head's stamp.  Raise [Invalid_argument] when empty or
+      unstamped. *)
+
+  val pop : t -> handle
+  (** Remove and return the head.  Raises [Invalid_argument] when
+      empty. *)
+
+  val fold : ('acc -> handle -> 'acc) -> 'acc -> t -> 'acc
+  (** Head-to-tail fold over the queued handles. *)
+end

@@ -21,11 +21,16 @@
      arrays.  A cell is identified by its index and a generation
      counter; the packed [((generation << idx_bits) | index) << 1] int
      is both the heap payload and the cancellation handle — an
-     immediate, so scheduling allocates nothing.  Cancellation bumps the
-     cell's generation (entries already in the heap become stale and are
-     skipped when popped) and recycles the cell through a free list.  A
-     stale handle — cancelled, fired, or pointing at a recycled cell —
-     always fails the generation check, so cancel-after-recycle is safe.
+     immediate, so scheduling allocates nothing.  Every cell records
+     the heap slot its entry occupies ([cell_pos], kept current by the
+     sifts), so cancellation removes the entry at once — the last entry
+     moves into the hole and sifts up or down — then bumps the cell's
+     generation and recycles it through a free list.  The heap
+     therefore only ever holds live events: a sender that re-arms its
+     RTO on every ACK leaves no dead entries for later pops to sift
+     past.  A stale handle — cancelled, fired, or
+     pointing at a recycled cell — always fails the generation check,
+     so cancel-after-recycle is safe.
 
    - Hot paths that fire the same logical event over and over (a link's
      transmit-complete and propagation-delivery) pre-register their
@@ -82,6 +87,7 @@ type t = {
      the free list — the [cell-accounting] sanitizer rule checks this. *)
   mutable cell_gen : int array;
   mutable cell_act : (unit -> unit) array;
+  mutable cell_pos : int array;  (* heap slot of each live cell's entry *)
   mutable free : int array;
   mutable free_len : int;
   mutable n_live : int;
@@ -102,6 +108,7 @@ let create () =
     stopping = false;
     cell_gen = [||];
     cell_act = [||];
+    cell_pos = [||];
     free = [||];
     free_len = 0;
     n_live = 0;
@@ -121,7 +128,7 @@ let[@inline] set_clock t v = Float.Array.unsafe_set t.clock 0 v
 
 let grow_heap t =
   let cap = Float.Array.length t.hp in
-  let ncap = Stdlib.max 64 (2 * cap) in
+  let ncap = if 2 * cap > 64 then 2 * cap else 64 in
   (* Amortized doubling; a sized [create] pre-allocates and never grows. *)
   let np = Float.Array.create ncap in (* phi-lint: allow hot-alloc *)
   Float.Array.blit t.hp 0 np 0 t.hlen;
@@ -130,32 +137,40 @@ let grow_heap t =
   Array.blit t.hm 0 nm 0 (2 * t.hlen);
   t.hm <- nm
 
-(* [hp]/[hm] are hoisted into locals in both sifts: they are mutable
-   record fields, so the compiler would otherwise reload them after
-   every array store in the loop.  Safe because the arrays cannot be
-   replaced (no grow) while a sift is running. *)
+(* Cell entries keep [cell_pos] pointing at their heap slot; port
+   entries (tag bit set) have no cell and nothing to record. *)
+let[@inline] note_pos pos key i =
+  if key land 1 = 0 then Array.unsafe_set pos ((key lsr 1) land idx_mask) i
+
+(* [hp]/[hm]/[cell_pos] are hoisted into locals in both sifts: they are
+   mutable record fields, so the compiler would otherwise reload them
+   after every array store in the loop.  Safe because the arrays cannot
+   be replaced (no grow) while a sift is running. *)
 (* Both sifts take their timestamp through [tscratch] rather than a
    float parameter: their callers read it out of a [floatarray] (or
    compute it), and a float argument would be boxed at the call. *)
 let sift_up t i0 seq key =
   let time = Float.Array.unsafe_get t.tscratch 0 in
-  let hp = t.hp and hm = t.hm in
+  let hp = t.hp and hm = t.hm and pos = t.cell_pos in
   let i = ref i0 in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) lsr 3 in
     let pt = Float.Array.unsafe_get hp parent in
     if time < pt || (time = pt && seq < Array.unsafe_get hm (2 * parent)) then begin
+      let pkey = Array.unsafe_get hm ((2 * parent) + 1) in
       Float.Array.unsafe_set hp !i pt;
       Array.unsafe_set hm (2 * !i) (Array.unsafe_get hm (2 * parent));
-      Array.unsafe_set hm ((2 * !i) + 1) (Array.unsafe_get hm ((2 * parent) + 1));
+      Array.unsafe_set hm ((2 * !i) + 1) pkey;
+      note_pos pos pkey !i;
       i := parent
     end
     else continue := false
   done;
   Float.Array.unsafe_set hp !i time;
   Array.unsafe_set hm (2 * !i) seq;
-  Array.unsafe_set hm ((2 * !i) + 1) key
+  Array.unsafe_set hm ((2 * !i) + 1) key;
+  note_pos pos key !i
 
 (* [push] takes its timestamp through [tscratch] (see the sifts). *)
 let push t ~seq key =
@@ -164,20 +179,21 @@ let push t ~seq key =
   t.hlen <- i + 1;
   sift_up t i seq key
 
-(* Re-seat [(time, seq, key)] (the former last entry) starting from the
-   root, after the minimum has been removed. *)
-let sift_down t seq key =
+(* Re-seat [(time, seq, key)] starting from slot [i0] and moving down:
+   after the minimum has been popped ([i0 = 0]) or an interior entry
+   cancelled, with the former last entry as the mover. *)
+let sift_down t i0 seq key =
   let time = Float.Array.unsafe_get t.tscratch 0 in
-  let hp = t.hp and hm = t.hm in
+  let hp = t.hp and hm = t.hm and pos = t.cell_pos in
   let len = t.hlen in
-  let i = ref 0 in
+  let i = ref i0 in
   let continue = ref true in
   while !continue do
     let base = (8 * !i) + 1 in
     if base >= len then continue := false
     else begin
       (* Find the smallest of the up-to-eight children. *)
-      let last = Stdlib.min (base + 7) (len - 1) in
+      let last = if base + 7 < len - 1 then base + 7 else len - 1 in
       let m = ref base in
       let mt = ref (Float.Array.unsafe_get hp base) in
       let ms = ref (Array.unsafe_get hm (2 * base)) in
@@ -190,9 +206,11 @@ let sift_down t seq key =
         end
       done;
       if !mt < time || (!mt = time && !ms < seq) then begin
+        let mkey = Array.unsafe_get hm ((2 * !m) + 1) in
         Float.Array.unsafe_set hp !i !mt;
         Array.unsafe_set hm (2 * !i) !ms;
-        Array.unsafe_set hm ((2 * !i) + 1) (Array.unsafe_get hm ((2 * !m) + 1));
+        Array.unsafe_set hm ((2 * !i) + 1) mkey;
+        note_pos pos mkey !i;
         i := !m
       end
       else continue := false
@@ -200,13 +218,34 @@ let sift_down t seq key =
   done;
   Float.Array.unsafe_set hp !i time;
   Array.unsafe_set hm (2 * !i) seq;
-  Array.unsafe_set hm ((2 * !i) + 1) key
+  Array.unsafe_set hm ((2 * !i) + 1) key;
+  note_pos pos key !i
+
+(* Delete the entry at slot [i]: the last entry fills the hole and moves
+   up if it now beats its parent, down otherwise. *)
+let remove_at t i =
+  let len = t.hlen - 1 in
+  t.hlen <- len;
+  if i < len then begin
+    let time = Float.Array.unsafe_get t.hp len in
+    let seq = Array.unsafe_get t.hm (2 * len) in
+    let key = Array.unsafe_get t.hm ((2 * len) + 1) in
+    Float.Array.unsafe_set t.tscratch 0 time;
+    let parent = (i - 1) lsr 3 in
+    if
+      i > 0
+      && (time < Float.Array.unsafe_get t.hp parent
+         || (time = Float.Array.unsafe_get t.hp parent
+            && seq < Array.unsafe_get t.hm (2 * parent)))
+    then sift_up t i seq key
+    else sift_down t i seq key
+  end
 
 (* {2 Event cells} *)
 
 let grow_slab t =
   let cap = Array.length t.cell_gen in
-  let ncap = Stdlib.max 64 (2 * cap) in
+  let ncap = if 2 * cap > 64 then 2 * cap else 64 in
   if ncap > idx_mask + 1 then invalid_arg "Engine: event slab exceeds 2^25 cells";
   (* Amortized doubling; a sized [create] pre-allocates and never grows. *)
   let ngen = Array.make ncap 0 in (* phi-lint: allow hot-alloc *)
@@ -215,6 +254,9 @@ let grow_slab t =
   let nact = Array.make ncap nop in (* phi-lint: allow hot-alloc *)
   Array.blit t.cell_act 0 nact 0 cap;
   t.cell_act <- nact;
+  let npos = Array.make ncap 0 in (* phi-lint: allow hot-alloc *)
+  Array.blit t.cell_pos 0 npos 0 cap;
+  t.cell_pos <- npos;
   let nfree = Array.make ncap 0 in (* phi-lint: allow hot-alloc *)
   Array.blit t.free 0 nfree 0 t.free_len;
   t.free <- nfree;
@@ -225,8 +267,9 @@ let grow_slab t =
   done
 
 (* Return a cell to the free list and invalidate every outstanding
-   handle/heap entry for it.  Runs before the action fires, so a handler
-   cancelling itself is a no-op, exactly like the old [live] flag.
+   handle for it (its heap entry is already gone: popped or removed).
+   Runs before the action fires, so a handler cancelling itself is a
+   no-op, exactly like the old [live] flag.
 
    The fire path deliberately leaves the fired closure in [cell_act]:
    overwriting it with [nop] costs a write barrier per event, and the
@@ -319,19 +362,33 @@ let port t f =
   t.n_ports <- t.n_ports + 1;
   t.n_ports - 1
 
-let[@inline] push_port t id =
+let[@inline] push_port t ~seq id =
   if id < 0 || id >= t.n_ports then
     invalid_arg "Engine.schedule_port: port is not registered on this engine";
-  push t ~seq:t.next_seq ((id lsl 1) lor 1);
-  t.next_seq <- t.next_seq + 1
+  push t ~seq ((id lsl 1) lor 1)
+
+let[@inline] reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
 
 let[@inline] schedule_port_at t ~time id =
   Float.Array.unsafe_set t.tscratch 0 (checked_time t time);
-  push_port t id
+  push_port t ~seq:t.next_seq id;
+  t.next_seq <- t.next_seq + 1
 
 let[@inline] schedule_port_after t ~delay id =
   Float.Array.unsafe_set t.tscratch 0 (now t +. checked_delay t delay);
-  push_port t id
+  push_port t ~seq:t.next_seq id;
+  t.next_seq <- t.next_seq + 1
+
+let[@inline never] bad_seq seq =
+  invalid_arg (Printf.sprintf "Engine.schedule_port_reserved: seq %d was never reserved" seq)
+
+let[@inline] schedule_port_reserved t ~time ~seq id =
+  if seq < 0 || seq >= t.next_seq then bad_seq seq;
+  Float.Array.unsafe_set t.tscratch 0 (checked_time t time);
+  push_port t ~seq id
 
 (* {2 Cancellation} *)
 
@@ -339,6 +396,7 @@ let cancel t handle =
   let k = handle lsr 1 in
   let idx = k land idx_mask in
   if idx < Array.length t.cell_gen && t.cell_gen.(idx) = k lsr idx_bits then begin
+    remove_at t t.cell_pos.(idx);
     consume t idx;
     t.cell_act.(idx) <- nop
   end
@@ -364,7 +422,7 @@ let step t =
     t.hlen <- len;
     if len > 0 then begin
       Float.Array.unsafe_set t.tscratch 0 (Float.Array.unsafe_get t.hp len);
-      sift_down t (Array.unsafe_get t.hm (2 * len)) (Array.unsafe_get t.hm ((2 * len) + 1))
+      sift_down t 0 (Array.unsafe_get t.hm (2 * len)) (Array.unsafe_get t.hm ((2 * len) + 1))
     end;
     if time < now t then record_nonmonotonic t time else set_clock t time;
     if key land 1 = 1 then begin
@@ -372,39 +430,33 @@ let step t =
       (Array.unsafe_get t.ports (key lsr 1)) ()
     end
     else begin
-      let k = key lsr 1 in
-      let idx = k land idx_mask in
-      (* Indices in heap keys were valid at enqueue time and the slab
-         never shrinks, so the unsafe read is in bounds; the generation
-         check rejects stale (cancelled or recycled) entries. *)
-      if Array.unsafe_get t.cell_gen idx = k lsr idx_bits then begin
-        let action = Array.unsafe_get t.cell_act idx in
-        consume t idx;
-        t.n_exec <- t.n_exec + 1;
-        if !Invariant.armed then check_cells t;
-        action ()
-      end
+      (* Cancellation removes entries, so every cell key in the heap is
+         live.  Its index was valid at enqueue time and the slab never
+         shrinks, so the unsafe read is in bounds. *)
+      let idx = (key lsr 1) land idx_mask in
+      let action = Array.unsafe_get t.cell_act idx in
+      consume t idx;
+      t.n_exec <- t.n_exec + 1;
+      if !Invariant.armed then check_cells t;
+      action ()
     end;
     true
   end
 
 let stop t = t.stopping <- true
 
+(* The horizon test is decided once per [run], not once per event: the
+   unbounded loop never looks at the heap top, the bounded one compares
+   it with [limit] directly.  [not (_ > limit)] keeps the exact old
+   semantics, including for a NaN [limit] (which never stops the run). *)
 let run ?until t =
   t.stopping <- false;
-  (* Two closures per [run] call, not per event; runs span millions of
-     events so this is outside the per-event budget. *)
-  let horizon_reached () = (* phi-lint: allow hot-alloc *)
-    match until with
-    | None -> false
-    | Some limit -> t.hlen = 0 || Float.Array.get t.hp 0 > limit
-  in
-  let rec loop () = (* phi-lint: allow hot-alloc *)
-    if t.stopping then ()
-    else if horizon_reached () then ()
-    else if step t then loop ()
-  in
-  loop ();
   match until with
-  | Some limit when not t.stopping -> if limit > now t then set_clock t limit
-  | _ -> ()
+  | None -> while (not t.stopping) && step t do () done
+  | Some limit ->
+    while
+      (not t.stopping) && t.hlen > 0 && (not (Float.Array.unsafe_get t.hp 0 > limit)) && step t
+    do
+      ()
+    done;
+    if (not t.stopping) && limit > now t then set_clock t limit

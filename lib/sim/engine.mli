@@ -9,7 +9,10 @@
     event cells over a structure-of-arrays 8-ary heap: scheduling,
     firing and cancelling allocate nothing beyond the caller's own
     closure, and the per-packet hot paths avoid even that via
-    {!port}s — handlers registered once and scheduled by reference. *)
+    {!port}s — handlers registered once and scheduled by reference.
+    The heap holds live events only: {!cancel} removes its entry at
+    once, so the heap stays at the simulation's live working set no
+    matter how often timers are re-armed. *)
 
 type t
 
@@ -55,7 +58,17 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
     in a per-engine table; the [schedule_port_*] functions then enqueue
     its index with zero allocation per event — no closure, no event
     cell, no write barrier, just one heap push.  Port events cannot be
-    cancelled individually. *)
+    cancelled individually.
+
+    A component that fires one port for a FIFO stream of future events
+    (a link delivering its propagating packets) can keep a single entry
+    in the heap instead of one per event: it takes each event's
+    tie-break number with {!reserve_seq} at the moment it would have
+    scheduled it, stores the [(time, seq)] pair itself, and hands the
+    head of its stream to {!schedule_port_reserved} when the previous
+    one fires.  Because the engine pops in [(time, seq)] order, the
+    firing order is exactly what scheduling each event eagerly would
+    have produced. *)
 
 type port
 
@@ -72,21 +85,34 @@ val schedule_port_at : t -> time:float -> port -> unit
 
 val schedule_port_after : t -> delay:float -> port -> unit
 
+val reserve_seq : t -> int
+(** Take the next FIFO tie-break number without scheduling anything:
+    an event later given this number by {!schedule_port_reserved}
+    orders exactly as if it had been scheduled now. *)
+
+val schedule_port_reserved : t -> time:float -> seq:int -> port -> unit
+(** [schedule_port_reserved t ~time ~seq p] schedules [p] at [time]
+    under a number [seq] previously taken from {!reserve_seq} (each
+    number should be used once).  Same time-validation contract as
+    {!schedule_port_at}; raises [Invalid_argument] if [seq] was never
+    reserved. *)
+
 (** {2 Cancellation} *)
 
 val cancel : t -> handle -> unit
-(** Cancelled events are skipped when their time comes and their cell is
-    recycled immediately.  Cancelling twice, after the event fired, or
-    after the cell was recycled is a no-op (generation-checked). *)
+(** Remove the event from the queue and recycle its cell, both at once
+    (O(log n), no allocation).  Cancelling twice, after the event fired,
+    or after the cell was recycled is a no-op (generation-checked). *)
 
 val cancelled : t -> handle -> bool
 
 val pending : t -> int
-(** Number of not-yet-fired (and not cancelled-and-collected) events. *)
+(** Number of live events in the queue: scheduled, not yet fired and
+    not cancelled.  It is also the heap's size. *)
 
 val executed : t -> int
-(** Number of events dispatched since creation (port firings plus live
-    cell firings; skipped stale entries do not count).  The parallel-DES
+(** Number of events dispatched since creation (port firings plus cell
+    firings; cancelled events never fire and do not count).  The parallel-DES
     bench aggregates this across island engines for its events/s
     figure, and being a pure function of the event sequence it is also
     a cheap determinism probe. *)

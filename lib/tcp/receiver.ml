@@ -1,6 +1,7 @@
 module Engine = Phi_sim.Engine
 module Node = Phi_net.Node
 module Packet = Phi_net.Packet
+module Int_table = Phi_util.Int_table
 
 (* [recent] mirrors the cons-list it replaced: a fixed-capacity scratch
    array of recently arrived out-of-order seqs, newest first.  One extra
@@ -14,7 +15,7 @@ type t = {
   pool : Packet.pool;
   flow : int;
   peer : int;
-  buffered : (int, unit) Hashtbl.t;  (* received out-of-order segments *)
+  buffered : unit Int_table.t;  (* received out-of-order segments *)
   recent : int array;  (* recently arrived out-of-order seqs, newest first *)
   mutable n_recent : int;
   mutable next_expected : int;
@@ -24,8 +25,11 @@ type t = {
 
 (* Expand the contiguous buffered run containing a seq into a [lo, hi)
    block (two allocation-free int scans). *)
-let rec block_lo t lo = if Hashtbl.mem t.buffered (lo - 1) then block_lo t (lo - 1) else lo
-let rec block_hi t hi = if Hashtbl.mem t.buffered hi then block_hi t (hi + 1) else hi
+let rec block_lo t lo = if Int_table.mem t.buffered (lo - 1) then block_lo t (lo - 1) else lo
+let rec block_hi t hi = if Int_table.mem t.buffered hi then block_hi t (hi + 1) else hi
+
+(* In-order delivery never buffers: skip the probe while nothing is. *)
+let[@inline] is_buffered t seq = Int_table.length t.buffered > 0 && Int_table.mem t.buffered seq
 
 (* Compact [recent] in place, keeping (in order) the seqs still above the
    cumulative ACK and distinct from [drop]; returns the new length.
@@ -43,7 +47,7 @@ let rec compact t ~drop i w =
 
 let remember_recent t seq =
   let kept = compact t ~drop:seq 0 0 in
-  let keep = Stdlib.min kept (Packet.max_sack_blocks * 2) in
+  let keep = if kept < Packet.max_sack_blocks * 2 then kept else Packet.max_sack_blocks * 2 in
   for i = keep downto 1 do
     t.recent.(i) <- t.recent.(i - 1)
   done;
@@ -63,7 +67,7 @@ let rec have_block t ack ~lo ~hi j =
 let rec emit_sack_blocks t ack k =
   if k < t.n_recent && Packet.sack_count t.pool ack < Packet.max_sack_blocks then begin
     let seq = t.recent.(k) in
-    if seq >= t.next_expected && Hashtbl.mem t.buffered seq then begin
+    if seq >= t.next_expected && Int_table.mem t.buffered seq then begin
       let lo = block_lo t seq in
       let hi = block_hi t (seq + 1) in
       if not (have_block t ack ~lo ~hi (Packet.sack_count t.pool ack - 1)) then
@@ -89,7 +93,7 @@ let handle t pkt =
     let sent_at = Packet.sent_at t.pool pkt in
     let ece = Packet.ce t.pool pkt in
     let retransmitted = Packet.retransmit t.pool pkt in
-    if seq < t.next_expected || Hashtbl.mem t.buffered seq then begin
+    if seq < t.next_expected || is_buffered t seq then begin
       (* Already have it: spurious retransmission; still ACK so the sender
          can make progress. *)
       t.duplicate_segments <- t.duplicate_segments + 1;
@@ -100,8 +104,8 @@ let handle t pkt =
       if seq = t.next_expected then begin
         t.next_expected <- t.next_expected + 1;
         (* Advance over any previously buffered run. *)
-        while Hashtbl.mem t.buffered t.next_expected do
-          Hashtbl.remove t.buffered t.next_expected;
+        while is_buffered t t.next_expected do
+          Int_table.remove t.buffered t.next_expected;
           t.next_expected <- t.next_expected + 1
         done;
         t.n_recent <- compact t ~drop:min_int 0 0;
@@ -111,7 +115,7 @@ let handle t pkt =
       else begin
         (* Out-of-order arrival: only reordered/lossy episodes buffer;
            in-order delivery never reaches this branch. *)
-        Hashtbl.add t.buffered seq (); (* phi-lint: allow hot-alloc *)
+        Int_table.add t.buffered seq (); (* phi-lint: allow hot-alloc *)
         remember_recent t seq;
         (* Duplicate ACK: cumulative number unchanged, SACK describes the
            hole; no RTT echo. *)
@@ -128,7 +132,7 @@ let create engine ~node ~flow ~peer =
       pool = Node.pool node;
       flow;
       peer;
-      buffered = Hashtbl.create 64;
+      buffered = Int_table.create 64;
       recent = Array.make recent_capacity 0;
       n_recent = 0;
       next_expected = 0;

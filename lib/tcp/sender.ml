@@ -2,6 +2,7 @@ module Engine = Phi_sim.Engine
 module Invariant = Phi_sim.Invariant
 module Node = Phi_net.Node
 module Packet = Phi_net.Packet
+module Int_table = Phi_util.Int_table
 
 let dupthresh = 3
 
@@ -38,9 +39,14 @@ type t = {
   mutable snd_una : int;  (* first unacknowledged segment *)
   mutable snd_nxt : int;  (* next new segment to send *)
   mutable highest_sent : int;  (* one past the highest segment ever sent *)
-  (* SACK scoreboard: all sets hold seqs in [snd_una, snd_nxt). *)
-  sacked : (int, unit) Hashtbl.t;
-  lost : (int, unit) Hashtbl.t;
+  (* SACK scoreboard: all sets hold seqs in [snd_una, snd_nxt).  Each
+     table's size is mirrored in its [n_*] counter below, and every
+     probe is guarded by that counter: a loss-free ACK makes none.
+     [sacked] and [lost] are int-keyed tables (no runtime hashing);
+     [retx] stays a generic [Hashtbl] because [requeue_lost_retransmissions]
+     folds over it and its bucket order decides [retx_queue]'s order. *)
+  sacked : unit Int_table.t;
+  lost : unit Int_table.t;
   retx : (int, float) Hashtbl.t;
       (* lost segments retransmitted and not yet cum-acked, mapped to the
          retransmission's send time (used to detect lost
@@ -168,8 +174,8 @@ let send_segment t seq =
   if seq >= t.highest_sent then t.highest_sent <- seq + 1
 
 let clear_scoreboard t =
-  Hashtbl.reset t.sacked;
-  Hashtbl.reset t.lost;
+  Int_table.reset t.sacked;
+  Int_table.reset t.lost;
   Hashtbl.reset t.retx;
   Queue.clear t.retx_queue;
   t.n_sacked <- 0;
@@ -178,17 +184,24 @@ let clear_scoreboard t =
   t.highest_sacked <- t.snd_una;
   t.loss_scan <- t.snd_una
 
+let[@inline] is_sacked t seq = t.n_sacked > 0 && Int_table.mem t.sacked seq
+let[@inline] is_lost t seq = t.n_lost > 0 && Int_table.mem t.lost seq
+
+(* Retransmission bookkeeping runs only while [n_retx > 0], i.e. after a
+   loss, never on a loss-free ACK. *)
+let[@inline] is_retx t seq = t.n_retx > 0 && Hashtbl.mem t.retx seq (* phi-lint: allow hot-poly *)
+
 let mark_sacked t seq =
-  if seq >= t.snd_una && seq < t.snd_nxt && not (Hashtbl.mem t.sacked seq) then begin
+  if seq >= t.snd_una && seq < t.snd_nxt && not (is_sacked t seq) then begin
     (* SACK bookkeeping: only reordered/lost segments enter this branch. *)
-    Hashtbl.add t.sacked seq (); (* phi-lint: allow hot-alloc *)
+    Int_table.add t.sacked seq (); (* phi-lint: allow hot-alloc *)
     t.n_sacked <- t.n_sacked + 1;
-    if Hashtbl.mem t.lost seq then begin
-      Hashtbl.remove t.lost seq;
+    if is_lost t seq then begin
+      Int_table.remove t.lost seq;
       t.n_lost <- t.n_lost - 1
     end;
-    if Hashtbl.mem t.retx seq then begin
-      Hashtbl.remove t.retx seq;
+    if is_retx t seq then begin
+      Hashtbl.remove t.retx seq; (* phi-lint: allow hot-poly *)
       t.n_retx <- t.n_retx - 1
     end;
     if seq + 1 > t.highest_sacked then t.highest_sacked <- seq + 1
@@ -197,8 +210,9 @@ let mark_sacked t seq =
 (* Mark every segment the ACK's inline SACK ranges cover. *)
 let merge_sack t pkt =
   for i = 0 to Packet.sack_count t.pool pkt - 1 do
-    let lo = Stdlib.max (Packet.sack_lo t.pool pkt i) t.snd_una
-    and hi = Stdlib.min (Packet.sack_hi t.pool pkt i) t.snd_nxt in
+    let lo = Packet.sack_lo t.pool pkt i and hi = Packet.sack_hi t.pool pkt i in
+    let lo = if lo > t.snd_una then lo else t.snd_una
+    and hi = if hi < t.snd_nxt then hi else t.snd_nxt in
     for seq = lo to hi - 1 do
       mark_sacked t seq
     done
@@ -212,16 +226,16 @@ let merge_sack t pkt =
 let requeue_lost_retransmissions t =
   (* Guarded on table size: the fold's closure would otherwise be an
      allocation on every ACK of a loss-free steady state. *)
-  if Hashtbl.length t.retx > 0 then begin
+  if t.n_retx > 0 then begin
     let stale =
-      Hashtbl.fold (* phi-lint: allow hot-alloc *)
+      Hashtbl.fold (* phi-lint: allow hot-alloc hot-poly *)
         (fun seq sent_at acc -> (* phi-lint: allow hot-alloc *)
           if sent_at < fget t delivered_tx_high_i then seq :: acc else acc) (* phi-lint: allow hot-alloc *)
         t.retx []
     in
     List.iter
       (fun seq -> (* phi-lint: allow hot-alloc *)
-        Hashtbl.remove t.retx seq;
+        Hashtbl.remove t.retx seq; (* phi-lint: allow hot-poly *)
         t.n_retx <- t.n_retx - 1;
         Queue.push seq t.retx_queue) (* phi-lint: allow hot-alloc *)
       stale
@@ -232,13 +246,9 @@ let requeue_lost_retransmissions t =
 let detect_losses t =
   while t.loss_scan < t.highest_sacked - dupthresh + 1 do
     let seq = t.loss_scan in
-    if
-      seq >= t.snd_una
-      && (not (Hashtbl.mem t.sacked seq))
-      && not (Hashtbl.mem t.lost seq)
-    then begin
+    if seq >= t.snd_una && (not (is_sacked t seq)) && not (is_lost t seq) then begin
       (* Loss marking: reached only when SACK reports a hole. *)
-      Hashtbl.add t.lost seq (); (* phi-lint: allow hot-alloc *)
+      Int_table.add t.lost seq (); (* phi-lint: allow hot-alloc *)
       t.n_lost <- t.n_lost + 1;
       Queue.push seq t.retx_queue (* phi-lint: allow hot-alloc *)
     end;
@@ -248,16 +258,16 @@ let detect_losses t =
 (* Drop scoreboard state for segments below the new cumulative ACK. *)
 let advance_una t new_una =
   for seq = t.snd_una to new_una - 1 do
-    if Hashtbl.mem t.sacked seq then begin
-      Hashtbl.remove t.sacked seq;
+    if is_sacked t seq then begin
+      Int_table.remove t.sacked seq;
       t.n_sacked <- t.n_sacked - 1
     end;
-    if Hashtbl.mem t.lost seq then begin
-      Hashtbl.remove t.lost seq;
+    if is_lost t seq then begin
+      Int_table.remove t.lost seq;
       t.n_lost <- t.n_lost - 1
     end;
-    if Hashtbl.mem t.retx seq then begin
-      Hashtbl.remove t.retx seq;
+    if is_retx t seq then begin
+      Hashtbl.remove t.retx seq; (* phi-lint: allow hot-poly *)
       t.n_retx <- t.n_retx - 1
     end
   done;
@@ -272,7 +282,7 @@ let rec next_retransmit t =
   if Queue.is_empty t.retx_queue then -1
   else begin
     let seq = Queue.pop t.retx_queue in
-    if seq >= t.snd_una && Hashtbl.mem t.lost seq && not (Hashtbl.mem t.retx seq) then seq
+    if seq >= t.snd_una && is_lost t seq && not (is_retx t seq) then seq
     else next_retransmit t
   end
 
@@ -318,7 +328,7 @@ and try_send t =
       let seq = next_retransmit t in
       if seq >= 0 then begin
         send_segment t seq;
-        Hashtbl.add t.retx seq (Engine.now t.engine); (* phi-lint: allow hot-alloc *)
+        Hashtbl.add t.retx seq (Engine.now t.engine); (* phi-lint: allow hot-alloc hot-poly *)
         (* ^ retransmission bookkeeping: runs only for lost segments,
            never in a loss-free steady state *)
         t.n_retx <- t.n_retx + 1;
@@ -383,7 +393,7 @@ let on_ack t pkt =
      retransmit ever fires. *)
   (match t.cc.Cc.recovery with Cc.Sack -> merge_sack t pkt | Cc.Go_back_n -> ());
   requeue_lost_retransmissions t;
-  let newly_acked = Stdlib.max 0 (ack_seq - t.snd_una) in
+  let newly_acked = if ack_seq > t.snd_una then ack_seq - t.snd_una else 0 in
   if newly_acked > 0 then begin
     advance_una t ack_seq;
     if has_echo then record_rtt t (now -. echo_sent_at)
@@ -439,8 +449,8 @@ let create engine ~node ~flow ~dst ~cc ~total_segments ?(source_index = 0)
       snd_una = 0;
       snd_nxt = 0;
       highest_sent = 0;
-      sacked = Hashtbl.create 64;
-      lost = Hashtbl.create 16;
+      sacked = Int_table.create 64;
+      lost = Int_table.create 16;
       retx = Hashtbl.create 16;
       retx_queue = Queue.create ();
       n_sacked = 0;

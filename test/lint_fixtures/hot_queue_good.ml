@@ -1,2 +1,2 @@
-(* Phi_sim.Ring is the flat hot-path container. *)
-let pending = Ring.create 16
+(* Phi_net.Packet.Fifo is the flat hot-path container. *)
+let pending = Packet.Fifo.create ()

@@ -36,6 +36,37 @@ let test_scenario_load_ordering () =
   Alcotest.(check bool) "high load busier" true
     (high.Scenario.utilization > low.Scenario.utilization)
 
+(* The event heap holds only live events: per link one transmit-complete
+   and one delivery (however many packets propagate), per flow its RTO
+   and paced-send timers, per source its next on/off wakeup.  Sampled on
+   the paper's Figure 2b dumbbell through the observe hook; a heap that
+   kept cancelled RTO entries or one delivery per propagating packet
+   reached hundreds of entries here. *)
+let test_scenario_heap_is_live_working_set () =
+  let config = quick Scenario.high_utilization in
+  let n = config.Scenario.spec.Topology.n in
+  (* Two access links per sender and per receiver, plus the bottleneck
+     pair; at most one connection per source at a time. *)
+  let links = (4 * n) + 2 in
+  let bound = (2 * links) + (2 * n) + n in
+  let peak = ref 0 and samples = ref 0 in
+  let observe engine _ =
+    (* The sampler's own next tick is scheduled after it reads. *)
+    let rec tick () =
+      incr samples;
+      let p = Phi_sim.Engine.pending engine in
+      if p > !peak then peak := p;
+      ignore (Phi_sim.Engine.schedule_after engine ~delay:0.005 tick)
+    in
+    ignore (Phi_sim.Engine.schedule_after engine ~delay:0.005 tick)
+  in
+  ignore (Scenario.run ~observe config);
+  Alcotest.(check bool) "sampled the whole run" true (!samples > 5000);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak pending %d within %d" !peak bound)
+    true
+    (!peak > 0 && !peak <= bound)
+
 (* The paper's headline claim (Figure 2): tuned Cubic parameters beat the
    Table 1 defaults on the power metric. *)
 let test_tuned_beats_default () =
@@ -632,4 +663,5 @@ let suite =
     ("priority differentiation (s3.3)", `Slow, test_priority_differentiation_and_friendliness);
     ("prediction beats global (s3.5)", `Quick, test_predict_experiment_beats_global);
     ("adaptation informed (s3.2)", `Quick, test_adaptation_experiment);
+    ("scenario heap is live working set", `Quick, test_scenario_heap_is_live_working_set);
   ]

@@ -362,8 +362,13 @@ let test_in_transport_scope () =
    use-after-release, nested mutable globals, allocation two calls below
    a hot entry point); the good twins must stay perfectly clean. *)
 
+(* Resolved against the test binary's own directory, where dune copies
+   the corpus (a declared dep), so the suite passes whatever the current
+   directory is. *)
+let fixture_dir = Filename.concat (Filename.dirname Sys.executable_name) "lint_fixtures"
+
 let read_fixture name =
-  let ic = open_in_bin (Filename.concat "lint_fixtures" name) in
+  let ic = open_in_bin (Filename.concat fixture_dir name) in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
@@ -448,6 +453,21 @@ let test_fixture_hot_alloc_chain () =
   | _ -> Alcotest.fail "expected exactly one violation");
   check_locs "hoisted twin is clean" []
     (Lint.lint_tree (fixture_tree "hot_alloc_good" hot_alloc_files))
+
+let test_fixture_hot_poly_chain () =
+  (* The seeded bug: a generic Hashtbl probe and Stdlib.min two calls
+     below Link.send.  The good twin keeps a generic table in setup code
+     nothing hot reaches and calls a project-local int [min]. *)
+  let vs = Lint.lint_tree (fixture_tree "hot_poly_bad" hot_alloc_files) in
+  check_locs "polymorphic calls two calls deep" [ ("hot-poly", 4); ("hot-poly", 5) ] vs;
+  List.iter
+    (fun v ->
+      Alcotest.(check string) "at the call site" "lib/fix/chain.ml" v.Lint.file;
+      Alcotest.(check bool) "chain rendered" true
+        (contains v.Lint.message "Link.send -> Chain.stage1 -> Chain.stage2"))
+    vs;
+  check_locs "monomorphic twin is clean" []
+    (Lint.lint_tree (fixture_tree "hot_poly_good" hot_alloc_files))
 
 let domain_race_files =
   [ "runner.ml"; "runner.mli"; "work.ml"; "work.mli"; "metrics.ml"; "metrics.mli" ]
@@ -598,6 +618,7 @@ let suite =
     Alcotest.test_case "fixture corpus: mli-doc" `Quick test_fixture_mli_doc;
     Alcotest.test_case "fixture corpus: missing-mli" `Quick test_fixture_missing_mli;
     Alcotest.test_case "fixture corpus: hot-alloc chain" `Quick test_fixture_hot_alloc_chain;
+    Alcotest.test_case "fixture corpus: hot-poly chain" `Quick test_fixture_hot_poly_chain;
     Alcotest.test_case "fixture corpus: domain-race" `Quick test_fixture_domain_race;
     Alcotest.test_case "fixture corpus: pdes domain-race" `Quick test_fixture_pdes_race;
     Alcotest.test_case "fixture corpus: dynamics domain-race" `Quick test_fixture_dynamics_race;

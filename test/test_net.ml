@@ -87,6 +87,77 @@ let test_packet_double_release_rejected () =
     let raised = try Packet.release pool d; false with Invalid_argument _ -> true in
     Alcotest.(check bool) "double release rejected" true raised
 
+(* {2 Handle FIFO} *)
+
+(* FIFO contents are read back through the packets' seq fields. *)
+let pop_seq pool q =
+  let h = Packet.Fifo.pop q in
+  let seq = Packet.seq pool h in
+  Packet.release pool h;
+  seq
+
+let test_fifo_order () =
+  let pool = Packet.create_pool () in
+  let q = Packet.Fifo.create () in
+  Alcotest.(check bool) "starts empty" true (Packet.Fifo.is_empty q);
+  List.iter (fun seq -> Packet.Fifo.push q (data pool ~seq)) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check int) "length" 5 (Packet.Fifo.length q);
+  Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.init 5 (fun _ -> pop_seq pool q));
+  Alcotest.(check bool) "drained" true (Packet.Fifo.is_empty q)
+
+(* Interleaved pushes and pops walk head and tail around the backing
+   arrays across several in-place growth cycles; FIFO order and the
+   stamps beside each handle must survive every wrap. *)
+let test_fifo_wraparound () =
+  let pool = Packet.create_pool () in
+  let q = Packet.Fifo.create ~stamped:true () in
+  let next_in = ref 0 in
+  let next_out = ref 0 in
+  let push () =
+    Packet.Fifo.push_stamped q (data pool ~seq:!next_in) ~time:(float_of_int !next_in)
+      ~seq:(10 * !next_in);
+    incr next_in
+  in
+  let check_pop msg =
+    Alcotest.(check (float 0.)) (msg ^ " time") (float_of_int !next_out) (Packet.Fifo.head_time q);
+    Alcotest.(check int) (msg ^ " seq stamp") (10 * !next_out) (Packet.Fifo.head_seq q);
+    Alcotest.(check int) msg !next_out (pop_seq pool q);
+    incr next_out
+  in
+  for _ = 1 to 300 do
+    for _ = 1 to 3 do
+      push ()
+    done;
+    check_pop "fifo through wrap"
+  done;
+  while not (Packet.Fifo.is_empty q) do
+    check_pop "drain in order"
+  done;
+  Alcotest.(check int) "every element seen once" !next_in !next_out;
+  Alcotest.(check int) "no cell leaked" 0 (Packet.in_use pool)
+
+let test_fifo_peek_fold () =
+  let pool = Packet.create_pool () in
+  let q = Packet.Fifo.create () in
+  List.iter (fun seq -> Packet.Fifo.push q (data pool ~seq)) [ 1; 2; 3 ];
+  Alcotest.(check int) "peek" 1 (Packet.seq pool (Packet.Fifo.peek q));
+  Alcotest.(check int) "peek is non-destructive" 1 (Packet.seq pool (Packet.Fifo.peek q));
+  Alcotest.(check int) "length after peeks" 3 (Packet.Fifo.length q);
+  Alcotest.(check int) "fold sum" 6 (Packet.Fifo.fold (fun acc h -> acc + Packet.seq pool h) 0 q);
+  Alcotest.(check (list int)) "fold head-to-tail" [ 1; 2; 3 ]
+    (List.rev (Packet.Fifo.fold (fun acc h -> Packet.seq pool h :: acc) [] q))
+
+let test_fifo_empty_and_unstamped_raise () =
+  let pool = Packet.create_pool () in
+  let q = Packet.Fifo.create () in
+  let raises f = try ignore (f q); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "pop raises" true (raises Packet.Fifo.pop);
+  Alcotest.(check bool) "peek raises" true (raises Packet.Fifo.peek);
+  Alcotest.(check bool) "push_stamped on unstamped raises" true
+    (raises (fun q -> Packet.Fifo.push_stamped q (data pool ~seq:0) ~time:0. ~seq:0));
+  Packet.Fifo.push q (data pool ~seq:1);
+  Alcotest.(check bool) "head_time on unstamped raises" true (raises Packet.Fifo.head_time)
+
 (* {2 Link} *)
 
 let make_link ?(bandwidth_bps = 8e6) ?(delay_s = 0.01) ?(capacity_pkts = 4) engine pool =
@@ -276,6 +347,66 @@ let test_link_delay_increase_takes_effect () =
   (* First packet at the old delay, second at the new one. *)
   Alcotest.(check (list (float 1e-9))) "new delay applies to later packets" [ 0.011; 0.053 ]
     (List.rev !arrivals)
+
+(* The link keeps one delivery in the engine's heap and schedules each
+   successor when its predecessor lands, under the (time, seq) stamp the
+   packet took when its serialization ended.  Both halves must show:
+   the clamp on a mid-run delay decrease and a down/up flap leave the
+   delivery times as computed at serialization, and an unrelated event
+   tying with a delivery instant fires before or after it exactly as it
+   would against an eagerly scheduled delivery (by when each was
+   scheduled, not when the delivery entered the heap). *)
+let test_link_single_pending_delivery () =
+  let engine = Engine.create () in
+  let pool = Packet.create_pool () in
+  let bw = 1000. *. pkt_per_s in
+  let link = make_link ~bandwidth_bps:bw ~delay_s:0.1 ~capacity_pkts:10 engine pool in
+  let log = ref [] in
+  let note label = log := (label, Engine.now engine) :: !log in
+  Link.set_receiver link (fun p ->
+      note (Printf.sprintf "p%d" (Packet.seq pool p));
+      Packet.release pool p);
+  for seq = 0 to 5 do
+    Link.send link (data pool ~seq)
+  done;
+  (* 1 ms serializations end at 1..5 ms; packet 1 lands at [t_tie]. *)
+  let tx = float_of_int (Packet.mss * 8) /. bw in
+  let t_tie = tx +. tx +. 0.1 in
+  let probe label ~at =
+    ignore
+      (Engine.schedule_at engine ~time:at (fun () ->
+           ignore (Engine.schedule_at engine ~time:t_tie (fun () -> note label))))
+  in
+  (* A is scheduled before packet 1 finishes serializing, B between
+     packets 2 and 3. *)
+  probe "A" ~at:0.0015;
+  probe "B" ~at:0.0035;
+  (* Shrinking the delay at 2.5 ms: packets 2-4 would land at 53-55 ms
+     and overtake, so they are clamped onto packet 1's instant.  Down at
+     4.5 ms: packet 4 (in service) completes, packet 5 freezes until the
+     link is back up at 0.2 s, then serializes and propagates at the new
+     delay. *)
+  ignore (Engine.schedule_at engine ~time:0.0025 (fun () -> Link.set_delay_s link 0.05));
+  ignore (Engine.schedule_at engine ~time:0.0045 (fun () -> Link.set_down link));
+  ignore (Engine.schedule_at engine ~time:0.2 (fun () -> Link.set_up link));
+  (* At 5.5 ms packets 0-4 all propagate, yet the heap holds a single
+     delivery beside probes A and B and the scripted set_up (the link is
+     down, so no transmission is in service). *)
+  let pending_mid_flight = ref (-1) in
+  ignore
+    (Engine.schedule_at engine ~time:0.0055 (fun () ->
+         pending_mid_flight := Engine.pending engine));
+  Engine.run engine;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "times and tie order as if every delivery were scheduled eagerly"
+    [
+      ("p0", 0.101); ("A", t_tie); ("p1", t_tie); ("p2", t_tie); ("B", t_tie); ("p3", t_tie);
+      ("p4", t_tie); ("p5", 0.2 +. tx +. 0.05);
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "one pending delivery for five propagating packets" 4
+    !pending_mid_flight;
+  Alcotest.(check int) "no cell leaked" 0 (Packet.in_use pool)
 
 let test_link_dynamics_validation () =
   let engine = Engine.create () in
@@ -743,6 +874,10 @@ let suite =
     ("packet sack limit", `Quick, test_packet_sack_limit);
     ("packet recycling", `Quick, test_packet_recycling);
     ("packet double release", `Quick, test_packet_double_release_rejected);
+    ("packet fifo order", `Quick, test_fifo_order);
+    ("packet fifo wraparound", `Quick, test_fifo_wraparound);
+    ("packet fifo peek/fold", `Quick, test_fifo_peek_fold);
+    ("packet fifo empty pop raises", `Quick, test_fifo_empty_and_unstamped_raise);
     ("link delivery timing", `Quick, test_link_delivery_timing);
     ("link fifo order", `Quick, test_link_fifo_order);
     ("link drop tail", `Quick, test_link_drop_tail);
@@ -754,6 +889,7 @@ let suite =
     ("link rate change mid-tx", `Quick, test_link_rate_change_mid_transmission);
     ("link delay jitter fifo", `Quick, test_link_delay_jitter_never_reorders);
     ("link delay increase", `Quick, test_link_delay_increase_takes_effect);
+    ("link single pending delivery", `Quick, test_link_single_pending_delivery);
     ("link dynamics validation", `Quick, test_link_dynamics_validation);
     ("link stats window", `Quick, test_link_stats_window);
     ("link validation", `Quick, test_link_validation);

@@ -1,8 +1,7 @@
-(* Tests for phi_sim: the 4-ary heap, the ring buffer, and the
-   discrete-event engine with its recycled event cells. *)
+(* Tests for phi_sim: the 4-ary heap and the discrete-event engine with
+   its recycled event cells. *)
 
 module Heap = Phi_sim.Heap
-module Ring = Phi_sim.Ring
 module Engine = Phi_sim.Engine
 module Invariant = Phi_sim.Invariant
 
@@ -139,58 +138,6 @@ let prop_heap_matches_reference =
         check_pop ()
       done;
       !ok)
-
-(* {2 Ring} *)
-
-let test_ring_fifo () =
-  let r = Ring.create () in
-  Alcotest.(check bool) "starts empty" true (Ring.is_empty r);
-  List.iter (Ring.push r) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "length" 5 (Ring.length r);
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.init 5 (fun _ -> Ring.pop r));
-  Alcotest.(check bool) "drained" true (Ring.is_empty r)
-
-(* Interleaved pushes and pops walk head and tail around the backing
-   array across several in-place growth cycles; FIFO order must survive
-   every wrap. *)
-let test_ring_wraparound () =
-  let r = Ring.create () in
-  let next_in = ref 0 in
-  let next_out = ref 0 in
-  for _ = 1 to 300 do
-    for _ = 1 to 3 do
-      Ring.push r !next_in;
-      incr next_in
-    done;
-    Alcotest.(check int) "fifo through wrap" !next_out (Ring.pop r);
-    incr next_out
-  done;
-  while not (Ring.is_empty r) do
-    Alcotest.(check int) "drain in order" !next_out (Ring.pop r);
-    incr next_out
-  done;
-  Alcotest.(check int) "every element seen once" !next_in !next_out
-
-let test_ring_peek_fold_clear () =
-  let r = Ring.create () in
-  List.iter (Ring.push r) [ 1; 2; 3 ];
-  Alcotest.(check int) "peek" 1 (Ring.peek r);
-  Alcotest.(check int) "peek is non-destructive" 1 (Ring.peek r);
-  Alcotest.(check int) "length after peeks" 3 (Ring.length r);
-  Alcotest.(check int) "fold sum" 6 (Ring.fold ( + ) 0 r);
-  let seen = ref [] in
-  Ring.iter (fun v -> seen := v :: !seen) r;
-  Alcotest.(check (list int)) "iter head-to-tail" [ 1; 2; 3 ] (List.rev !seen);
-  Ring.clear r;
-  Alcotest.(check bool) "cleared" true (Ring.is_empty r);
-  Alcotest.(check bool) "peek_opt none" true (Ring.peek_opt r = None);
-  Alcotest.(check bool) "pop_opt none" true (Ring.pop_opt r = None)
-
-let test_ring_empty_pop_raises () =
-  let r : int Ring.t = Ring.create () in
-  let raises f = try ignore (f r); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "pop raises" true (raises Ring.pop);
-  Alcotest.(check bool) "peek raises" true (raises Ring.peek)
 
 (* {2 Engine} *)
 
@@ -403,6 +350,119 @@ let prop_engine_fires_all_in_order =
       List.length fired = List.length times
       && fired = List.sort Float.compare times)
 
+(* Random interleavings of scheduling, cancellation (of interior heap
+   entries, and from inside handlers), seq reservation and stepping,
+   against a reference that keeps the live events in a plain list and
+   fires the (time, seq) minimum.  The engine must fire the same events
+   in the same order, and [pending] must equal the live count after
+   every operation. *)
+type ref_event = { id : int; time : float; seq : int; handle : Engine.handle }
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine matches a sorted-list reference" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 150) (pair (int_bound 9) (pair (int_bound 5) small_nat)))
+    (fun ops ->
+      let engine = Engine.create () in
+      let live = ref [] in
+      let next_seq = ref 0 and next_id = ref 0 in
+      let reserved = Queue.create () in
+      let dead = ref [] in
+      let fired = ref [] in
+      let ok = ref true in
+      let take_seq () =
+        let s = !next_seq in
+        incr next_seq;
+        s
+      in
+      let fresh_id () =
+        let i = !next_id in
+        incr next_id;
+        i
+      in
+      let cancel_kth k =
+        let cs = Array.of_list (List.filter (fun e -> not (Engine.is_null e.handle)) !live) in
+        if Array.length cs > 0 then begin
+          let victim = cs.(k mod Array.length cs) in
+          live := List.filter (fun e -> e.id <> victim.id) !live;
+          dead := victim.handle :: !dead;
+          Engine.cancel engine victim.handle
+        end
+      in
+      (* [nested]: 0 plain, 1 cancels another live event when fired, 2
+         schedules a follow-up when fired. *)
+      let rec schedule_cell ~delay ~nested ~k =
+        let id = fresh_id () in
+        let time = Engine.now engine +. delay in
+        let seq = take_seq () in
+        let action () =
+          fired := id :: !fired;
+          match nested with
+          | 1 -> cancel_kth k
+          | 2 -> schedule_cell ~delay:(float_of_int (k mod 3)) ~nested:0 ~k:0
+          | _ -> ()
+        in
+        let handle = Engine.schedule_at engine ~time action in
+        live := { id; time; seq; handle } :: !live
+      in
+      let port_event ~delay ~seq ~reserved_seq =
+        let id = fresh_id () in
+        let time = Engine.now engine +. delay in
+        let p = Engine.port engine (fun () -> fired := id :: !fired) in
+        (match reserved_seq with
+        | None -> Engine.schedule_port_at engine ~time p
+        | Some seq -> Engine.schedule_port_reserved engine ~time ~seq p);
+        live := { id; time; seq; handle = Engine.null } :: !live
+      in
+      let step () =
+        let before = List.length !fired in
+        match !live with
+        | [] -> if Engine.step engine then ok := false
+        | e0 :: rest ->
+          let first =
+            List.fold_left
+              (fun a e -> if e.time < a.time || (e.time = a.time && e.seq < a.seq) then e else a)
+              e0 rest
+          in
+          live := List.filter (fun e -> e.id <> first.id) !live;
+          if not (Engine.is_null first.handle) then dead := first.handle :: !dead;
+          let stepped = Engine.step engine in
+          (* One step fires exactly one handler; nested actions only
+             schedule or cancel. *)
+          let fired_now = match !fired with id :: _ -> id | [] -> -1 in
+          if
+            not
+              (stepped
+              && List.length !fired = before + 1
+              && fired_now = first.id
+              && Float.equal (Engine.now engine) first.time)
+          then ok := false
+      in
+      List.iter
+        (fun (op, (a, b)) ->
+          let delay = float_of_int a in
+          (match op with
+          | 0 | 1 | 2 -> schedule_cell ~delay ~nested:(b mod 3) ~k:b
+          | 3 -> port_event ~delay ~seq:(take_seq ()) ~reserved_seq:None
+          | 4 ->
+            let seq = Engine.reserve_seq engine in
+            if seq <> take_seq () then ok := false;
+            Queue.push seq reserved
+          | 5 ->
+            if not (Queue.is_empty reserved) then begin
+              let seq = Queue.pop reserved in
+              port_event ~delay ~seq ~reserved_seq:(Some seq)
+            end
+          | 6 -> cancel_kth b
+          | 7 -> (match !dead with h :: _ -> Engine.cancel engine h | [] -> ())
+          | _ -> step ());
+          if Engine.pending engine <> List.length !live then ok := false)
+        ops;
+      while !live <> [] do
+        step ();
+        if Engine.pending engine <> List.length !live then ok := false
+      done;
+      !ok && not (Engine.step engine))
+
 let suite =
   [
     ("heap empty", `Quick, test_heap_empty);
@@ -412,10 +472,6 @@ let suite =
     ("heap nan total order", `Quick, test_heap_nan_total_order);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_matches_reference;
-    ("ring fifo", `Quick, test_ring_fifo);
-    ("ring wraparound", `Quick, test_ring_wraparound);
-    ("ring peek/fold/clear", `Quick, test_ring_peek_fold_clear);
-    ("ring empty pop raises", `Quick, test_ring_empty_pop_raises);
     ("engine time order", `Quick, test_engine_runs_in_time_order);
     ("engine same-time fifo", `Quick, test_engine_same_time_fifo);
     ("engine rejects past", `Quick, test_engine_rejects_past);
@@ -433,4 +489,5 @@ let suite =
     ("engine step", `Quick, test_engine_step);
     ("engine negative delay", `Quick, test_engine_negative_delay_rejected);
     QCheck_alcotest.to_alcotest prop_engine_fires_all_in_order;
+    QCheck_alcotest.to_alcotest prop_engine_matches_reference;
   ]
